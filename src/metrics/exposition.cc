@@ -159,6 +159,7 @@ void MetricRegistry::RenderPrometheus(std::string* out) const {
   std::lock_guard<std::mutex> lock(mu_);
   constexpr size_t kGroups =
       LatencyHistogram::kBucketCount / LatencyHistogram::kSubBuckets;
+  std::array<uint64_t, LatencyHistogram::kBucketCount> buckets;
   for (const Family& family : families_) {
     out->append("# HELP ");
     out->append(family.name);
@@ -176,8 +177,7 @@ void MetricRegistry::RenderPrometheus(std::string* out) const {
           out->append(family.name);
           AppendLabels(instrument.labels, {}, out);
           out->push_back(' ');
-          AppendU64(instrument.counter->value.load(std::memory_order_relaxed),
-                    out);
+          AppendU64(instrument.counter->Sum(), out);
           out->push_back('\n');
           break;
         }
@@ -185,8 +185,7 @@ void MetricRegistry::RenderPrometheus(std::string* out) const {
           out->append(family.name);
           AppendLabels(instrument.labels, {}, out);
           out->push_back(' ');
-          AppendDouble(instrument.gauge->value.load(std::memory_order_relaxed),
-                       out);
+          AppendDouble(instrument.gauge->Sum(), out);
           out->push_back('\n');
           break;
         }
@@ -195,15 +194,14 @@ void MetricRegistry::RenderPrometheus(std::string* out) const {
           // samples are elided (sparse monotone series are valid exposition
           // and keep a 2.5k-bucket grid scrape-sized). `_count` repeats the
           // `+Inf` cumulative so the document is self-consistent even if a
-          // concurrent Record landed between the two atomic loads.
+          // concurrent Record landed between the atomic loads.
           const HistogramCell* cell = instrument.histogram;
+          cell->SumBuckets(&buckets);
           uint64_t cumulative = 0;
           for (size_t group = 0; group < kGroups; ++group) {
             uint64_t in_group = 0;
             for (uint64_t sub = 0; sub < LatencyHistogram::kSubBuckets; ++sub) {
-              in_group += cell->buckets[group * LatencyHistogram::kSubBuckets +
-                                        sub]
-                              .load(std::memory_order_relaxed);
+              in_group += buckets[group * LatencyHistogram::kSubBuckets + sub];
             }
             if (in_group == 0) continue;
             cumulative += in_group;
@@ -231,7 +229,7 @@ void MetricRegistry::RenderPrometheus(std::string* out) const {
           out->append("_sum");
           AppendLabels(instrument.labels, {}, out);
           out->push_back(' ');
-          AppendU64(cell->sum.load(std::memory_order_relaxed), out);
+          AppendU64(cell->Sum(), out);
           out->push_back('\n');
           out->append(family.name);
           out->append("_count");
@@ -258,6 +256,7 @@ std::string MetricRegistry::EncodeDump() const {
   out.append(kDumpMagic, sizeof(kDumpMagic));
   PutU32(kDumpVersion, &out);
   PutU32(static_cast<uint32_t>(families_.size()), &out);
+  std::array<uint64_t, LatencyHistogram::kBucketCount> buckets;
   for (const Family& family : families_) {
     PutString(family.name, &out);
     PutString(family.help, &out);
@@ -271,31 +270,26 @@ std::string MetricRegistry::EncodeDump() const {
       }
       switch (family.type) {
         case InstrumentType::kCounter:
-          PutU64(instrument.counter->value.load(std::memory_order_relaxed),
-                 &out);
+          PutU64(instrument.counter->Sum(), &out);
           break;
         case InstrumentType::kGauge:
-          PutU64(std::bit_cast<uint64_t>(instrument.gauge->value.load(
-                     std::memory_order_relaxed)),
-                 &out);
+          PutU64(std::bit_cast<uint64_t>(instrument.gauge->Sum()), &out);
           break;
         case InstrumentType::kHistogram: {
           const HistogramCell* cell = instrument.histogram;
           // Snapshot the sparse buckets first; report their total as the
           // count so count == sum of buckets in the decoded dump.
-          uint64_t total = 0;
+          uint64_t total = cell->SumBuckets(&buckets);
           std::string pairs;
           uint32_t nonzero = 0;
           for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
-            uint64_t b = cell->buckets[i].load(std::memory_order_relaxed);
-            if (b == 0) continue;
+            if (buckets[i] == 0) continue;
             PutU32(static_cast<uint32_t>(i), &pairs);
-            PutU64(b, &pairs);
-            total += b;
+            PutU64(buckets[i], &pairs);
             ++nonzero;
           }
           PutU64(total, &out);
-          PutU64(cell->sum.load(std::memory_order_relaxed), &out);
+          PutU64(cell->Sum(), &out);
           PutU32(nonzero, &out);
           out.append(pairs);
           break;

@@ -1,5 +1,7 @@
 #include "metrics/metrics.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
 
@@ -8,6 +10,13 @@
 namespace pdm::metrics {
 
 namespace internal {
+
+uint32_t AssignThreadStripe() {
+  static std::atomic<uint32_t> next{0};
+  thread_stripe_plus_one =
+      next.fetch_add(1, std::memory_order_relaxed) % kStripes + 1;
+  return thread_stripe_plus_one;
+}
 
 CounterCell* SinkCounterCell() {
   static CounterCell cell;
@@ -20,14 +29,50 @@ GaugeCell* SinkGaugeCell() {
 }
 
 HistogramCell* SinkHistogramCell() {
-  static HistogramCell cell;
+  static HistogramCell cell;  // zero-initialised .bss: no page is written
   return &cell;
 }
 
 }  // namespace internal
 
+namespace {
+// atomic_ref needs a mutable referent; the loads below never write.
+template <typename T>
+T LoadRelaxed(const T& v) {
+  return std::atomic_ref<T>(const_cast<T&>(v)).load(std::memory_order_relaxed);
+}
+}  // namespace
+
+int64_t HistogramCell::Count() const {
+  int64_t total = 0;
+  for (const Stripe& s : stripes) total += LoadRelaxed(s.count);
+  return total;
+}
+
+uint64_t HistogramCell::Sum() const {
+  uint64_t total = 0;
+  for (const Stripe& s : stripes) total += LoadRelaxed(s.sum);
+  return total;
+}
+
+uint64_t HistogramCell::SumBuckets(
+    std::array<uint64_t, LatencyHistogram::kBucketCount>* out) const {
+  out->fill(0);
+  uint64_t total = 0;
+  for (const Stripe& s : stripes) {
+    if (LoadRelaxed(s.count) == 0) continue;
+    for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+      uint64_t b = LoadRelaxed(s.buckets[i]);
+      (*out)[i] += b;
+      total += b;
+    }
+  }
+  return total;
+}
+
 uint64_t Histogram::Quantile(double q) const {
-  int64_t count = cell_->count.load(std::memory_order_relaxed);
+  std::array<uint64_t, LatencyHistogram::kBucketCount> buckets;
+  int64_t count = static_cast<int64_t>(cell_->SumBuckets(&buckets));
   if (count <= 0) return 0;
   int64_t rank =
       static_cast<int64_t>(std::ceil(q * static_cast<double>(count)));
@@ -35,18 +80,24 @@ uint64_t Histogram::Quantile(double q) const {
   int64_t cumulative = 0;
   uint64_t floor = 0;
   for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
-    uint64_t b = cell_->buckets[i].load(std::memory_order_relaxed);
+    uint64_t b = buckets[i];
     if (b == 0) continue;
     cumulative += static_cast<int64_t>(b);
     floor = LatencyHistogram::BucketFloor(i);
     if (cumulative >= rank) return floor;
   }
-  return floor;  // count raced ahead of buckets; report the highest seen
+  return floor;
 }
 
 MetricGateway* MetricGateway::Noop() {
   static NoopMetricGateway gateway;
   return &gateway;
+}
+
+MetricRegistry::~MetricRegistry() {
+  for (HistogramCell* cell : histogram_cells_) {
+    munmap(cell, sizeof(HistogramCell));
+  }
 }
 
 MetricRegistry::Family* MetricRegistry::FindOrCreateFamily(
@@ -107,7 +158,15 @@ Histogram MetricRegistry::GetHistogram(std::string_view name,
   Family* family = FindOrCreateFamily(name, help, InstrumentType::kHistogram);
   Instrument* instrument = FindOrCreateInstrument(family, std::move(labels));
   if (instrument->histogram == nullptr) {
-    instrument->histogram = &histogram_cells_.emplace_back();
+    // Fresh anonymous pages read as zero, which is an empty HistogramCell;
+    // nothing writes them until a Record does.
+    void* pages = mmap(nullptr, sizeof(HistogramCell), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    PDM_CHECK(pages != MAP_FAILED);
+    // Keep THP=always hosts from backing sparse bucket writes with 2 MiB.
+    madvise(pages, sizeof(HistogramCell), MADV_NOHUGEPAGE);
+    histogram_cells_.push_back(static_cast<HistogramCell*>(pages));
+    instrument->histogram = histogram_cells_.back();
   }
   return Histogram(instrument->histogram);
 }

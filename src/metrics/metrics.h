@@ -1,6 +1,7 @@
 #ifndef PDM_METRICS_METRICS_H_
 #define PDM_METRICS_METRICS_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -20,14 +21,21 @@
 ///
 /// The layer splits into three pieces:
 ///
-///   * **Cells** — cache-line-padded atomics (`CounterCell`, `GaugeCell`,
-///     `HistogramCell`) that hold the actual state. A histogram cell reuses
-///     `LatencyHistogram`'s log-linear bucket geometry so scraped quantiles
-///     line up with the bench JSON quantiles bit for bit.
+///   * **Cells** — `CounterCell`, `GaugeCell` and `HistogramCell` hold the
+///     state, striped `kStripes` ways: each stripe sits on its own cache
+///     line, and each thread writes only the stripe it was assigned
+///     (round-robin, on its first write). Writers on different threads thus
+///     touch different lines, and readers (`value()`, `count()`, `sum()`,
+///     `Quantile()`, the Prometheus render and the binary dump) sum the
+///     stripes. `Gauge::Set` stores into stripe 0 and zeroes the others, so
+///     it reads back exactly on a gauge no other thread is adding to. A
+///     histogram cell reuses `LatencyHistogram`'s log-linear bucket
+///     geometry so scraped quantiles line up with the bench JSON quantiles
+///     bit for bit.
 ///   * **Handles** — `Counter` / `Gauge` / `Histogram` are one-pointer
 ///     wrappers resolved once at wiring time. `Increment`/`Add`/`Record` on
-///     the hot path are single relaxed atomic RMWs: no allocation, no lock,
-///     and no branch beyond the handle deref. A default-constructed handle
+///     the hot path are relaxed atomic RMWs on the caller's own stripe: no
+///     allocation, no lock, no contended line. A default-constructed handle
 ///     points at a process-wide *sink* cell, so unwired code pays the same
 ///     (tiny) cost as wired code instead of branching on null.
 ///   * **Gateway** — `MetricGateway` is the abstract wiring surface
@@ -36,6 +44,11 @@
 ///     implementation that names instruments, renders Prometheus text
 ///     exposition format, and encodes the `pdm.metrics.v1` binary dump the
 ///     wire protocol's `GetMetrics` opcode returns.
+///
+/// Memory: a counter or gauge cell is `kStripes` cache lines (1 KiB). A
+/// histogram cell is ~313 KiB of address space, but the registry maps it as
+/// untouched zero pages, so it costs resident memory only for the pages its
+/// writers touch.
 ///
 /// Instruments are identified by (family name, label set). Lookups are
 /// idempotent: asking twice for the same instrument returns handles on the
@@ -47,44 +60,103 @@ namespace pdm::metrics {
 // ---------------------------------------------------------------------------
 // Cells
 
-struct alignas(kCacheLineSize) CounterCell {
-  std::atomic<uint64_t> value{0};
-};
+/// Stripes per cell. Up to `kStripes` writing threads get a stripe each;
+/// further threads share stripes round-robin (still exact — every stripe op
+/// is atomic — just contended again).
+inline constexpr size_t kStripes = 16;
 
-struct alignas(kCacheLineSize) GaugeCell {
-  std::atomic<double> value{0.0};
+namespace internal {
+/// Assigns the calling thread its stripe and returns it plus one.
+uint32_t AssignThreadStripe();
+/// The calling thread's stripe plus one; 0 until its first write.
+inline thread_local uint32_t thread_stripe_plus_one = 0;
 
-  /// Relaxed add: x86-64 has no atomic f64 fetch_add, so this is a CAS loop;
-  /// uncontended it is one cycle of the loop.
-  void Add(double delta) {
-    double cur = value.load(std::memory_order_relaxed);
-    while (!value.compare_exchange_weak(cur, cur + delta,
-                                        std::memory_order_relaxed)) {
+inline size_t ThreadStripe() {
+  uint32_t stripe = thread_stripe_plus_one;
+  if (stripe == 0) [[unlikely]] stripe = AssignThreadStripe();
+  return stripe - 1;
+}
+}  // namespace internal
+
+struct CounterCell {
+  struct alignas(kCacheLineSize) Stripe {
+    std::atomic<uint64_t> value{0};
+  };
+  Stripe stripes[kStripes];
+
+  void Add(uint64_t n) {
+    stripes[internal::ThreadStripe()].value.fetch_add(
+        n, std::memory_order_relaxed);
+  }
+  uint64_t Sum() const {
+    uint64_t total = 0;
+    for (const Stripe& s : stripes) {
+      total += s.value.load(std::memory_order_relaxed);
     }
+    return total;
   }
 };
 
-/// Atomic counterpart of `LatencyHistogram`: same log-linear bucket grid,
-/// per-bucket relaxed counters plus exact count and nanosecond sum. Record is
-/// three relaxed fetch_adds (bucket, count, sum); rendering reads the buckets
-/// relaxed, so a concurrent scrape sees a consistent-enough snapshot (counts
-/// may trail the buckets by in-flight samples, never the reverse by more
-/// than the same in-flight window).
-struct HistogramCell {
-  std::atomic<uint64_t> buckets[LatencyHistogram::kBucketCount];
-  std::atomic<int64_t> count{0};
-  std::atomic<uint64_t> sum{0};
+struct GaugeCell {
+  struct alignas(kCacheLineSize) Stripe {
+    std::atomic<double> value{0.0};
+  };
+  Stripe stripes[kStripes];
 
-  HistogramCell() {
-    for (auto& b : buckets) b.store(0, std::memory_order_relaxed);
+  void Add(double delta) {
+    stripes[internal::ThreadStripe()].value.fetch_add(
+        delta, std::memory_order_relaxed);
   }
+  /// Stripe 0 takes `v`, the rest are zeroed. Exact only when no other
+  /// thread is adding concurrently.
+  void Set(double v) {
+    for (size_t s = 1; s < kStripes; ++s) {
+      stripes[s].value.store(0.0, std::memory_order_relaxed);
+    }
+    stripes[0].value.store(v, std::memory_order_relaxed);
+  }
+  double Sum() const {
+    double total = stripes[0].value.load(std::memory_order_relaxed);
+    for (size_t s = 1; s < kStripes; ++s) {
+      // Skipping zero stripes keeps a Set value bit-exact (-0.0 + 0.0
+      // would read back as +0.0).
+      double v = stripes[s].value.load(std::memory_order_relaxed);
+      if (v != 0.0) total += v;
+    }
+    return total;
+  }
+};
+
+/// Striped atomic counterpart of `LatencyHistogram`: per stripe, the same
+/// log-linear bucket grid plus an exact count and nanosecond sum. Record is
+/// three relaxed fetch_adds (bucket, count, sum) on the caller's stripe.
+///
+/// The fields are plain integers, accessed only through `std::atomic_ref`,
+/// so the cell is trivially constructible: the registry hands out fresh
+/// zero pages and no constructor writes them (a `std::atomic` member would
+/// value-initialise all `kStripes` × 2496 buckets).
+struct HistogramCell {
+  struct alignas(kCacheLineSize) Stripe {
+    int64_t count;
+    uint64_t sum;
+    uint64_t buckets[LatencyHistogram::kBucketCount];
+  };
+  Stripe stripes[kStripes];
 
   void Record(uint64_t nanos) {
-    buckets[LatencyHistogram::BucketIndex(nanos)].fetch_add(
-        1, std::memory_order_relaxed);
-    count.fetch_add(1, std::memory_order_relaxed);
-    sum.fetch_add(nanos, std::memory_order_relaxed);
+    Stripe& s = stripes[internal::ThreadStripe()];
+    std::atomic_ref(s.buckets[LatencyHistogram::BucketIndex(nanos)])
+        .fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(s.count).fetch_add(1, std::memory_order_relaxed);
+    std::atomic_ref(s.sum).fetch_add(nanos, std::memory_order_relaxed);
   }
+  int64_t Count() const;
+  uint64_t Sum() const;
+  /// Writes the per-bucket totals over all stripes into `out` and returns
+  /// their sum. Stripes that never counted a sample are not read, so a
+  /// scrape faults in no page of an unwritten stripe.
+  uint64_t SumBuckets(
+      std::array<uint64_t, LatencyHistogram::kBucketCount>* out) const;
 };
 
 namespace internal {
@@ -104,24 +176,26 @@ class Counter {
   Counter() : cell_(internal::SinkCounterCell()) {}
   explicit Counter(CounterCell* cell) : cell_(cell) {}
 
-  void Increment() { cell_->value.fetch_add(1, std::memory_order_relaxed); }
-  void Add(uint64_t n) { cell_->value.fetch_add(n, std::memory_order_relaxed); }
-  uint64_t value() const { return cell_->value.load(std::memory_order_relaxed); }
+  void Increment() { cell_->Add(1); }
+  void Add(uint64_t n) { cell_->Add(n); }
+  uint64_t value() const { return cell_->Sum(); }
 
  private:
   CounterCell* cell_;
 };
 
-/// Last-write-wins double gauge with merge-safe Add/Sub deltas.
+/// Double gauge. Add/Sub deltas from any thread merge exactly when they are
+/// integral (sums of stripes are otherwise exact only up to rounding); Set
+/// is last-write-wins for a gauge no other thread is adding to.
 class Gauge {
  public:
   Gauge() : cell_(internal::SinkGaugeCell()) {}
   explicit Gauge(GaugeCell* cell) : cell_(cell) {}
 
-  void Set(double v) { cell_->value.store(v, std::memory_order_relaxed); }
+  void Set(double v) { cell_->Set(v); }
   void Add(double delta) { cell_->Add(delta); }
   void Sub(double delta) { cell_->Add(-delta); }
-  double value() const { return cell_->value.load(std::memory_order_relaxed); }
+  double value() const { return cell_->Sum(); }
 
  private:
   GaugeCell* cell_;
@@ -135,8 +209,8 @@ class Histogram {
   explicit Histogram(HistogramCell* cell) : cell_(cell) {}
 
   void Record(uint64_t nanos) { cell_->Record(nanos); }
-  int64_t count() const { return cell_->count.load(std::memory_order_relaxed); }
-  uint64_t sum() const { return cell_->sum.load(std::memory_order_relaxed); }
+  int64_t count() const { return cell_->Count(); }
+  uint64_t sum() const { return cell_->Sum(); }
   /// Conservative q-quantile over the relaxed bucket snapshot (same contract
   /// as LatencyHistogram::Quantile). 0 when empty.
   uint64_t Quantile(double q) const;
@@ -217,9 +291,11 @@ enum class InstrumentType : uint8_t {
 /// allocate; it happens once at wiring time. Reads for rendering/encoding
 /// take the same mutex for the *structure* only — cell values are read with
 /// relaxed atomics, so concurrent hot-path writers are never blocked.
+/// Histogram cells are anonymous mappings, unmapped by the destructor.
 class MetricRegistry : public MetricGateway {
  public:
   MetricRegistry() = default;
+  ~MetricRegistry() override;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
 
@@ -268,7 +344,7 @@ class MetricRegistry : public MetricGateway {
   // Deques: grow without moving, so handed-out cell pointers stay stable.
   std::deque<CounterCell> counter_cells_;
   std::deque<GaugeCell> gauge_cells_;
-  std::deque<HistogramCell> histogram_cells_;
+  std::vector<HistogramCell*> histogram_cells_;  // one mapping each
 };
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "broker/broker.h"
@@ -244,30 +245,42 @@ TEST(SteadyStateAllocations, MechanismRegistryBuiltEnginesOverScenarioStreams) {
 
 TEST(SteadyStateAllocations, MetricInstrumentOpsAreAllocationFree) {
   // The DESIGN.md §13 hot-path contract: once a handle is resolved,
-  // Increment/Add/Set/Record are single relaxed atomic RMWs — no heap, no
-  // lock. Holds identically for live-registry cells and the no-op gateway's
-  // sink cells (default-constructed handles).
+  // Increment/Add/Set/Record are relaxed atomic RMWs on the caller's stripe
+  // — no heap, no lock. Holds identically for live-registry cells and the
+  // no-op gateway's sink cells (default-constructed handles), and from a
+  // thread's very first write, which is when it is assigned its stripe.
   pdm::metrics::MetricRegistry registry;
   pdm::metrics::Counter counter = registry.GetCounter("alloc_total", "h");
   pdm::metrics::Gauge gauge = registry.GetGauge("alloc_gauge", "h");
   pdm::metrics::Histogram hist = registry.GetHistogram("alloc_ns", "h");
   pdm::metrics::Counter sink_counter;   // noop-gateway handles
+  pdm::metrics::Gauge sink_gauge;
   pdm::metrics::Histogram sink_hist;
 
-  int64_t before = ThreadAllocationCount();
-  for (int i = 0; i < kMeasuredRounds; ++i) {
-    counter.Increment();
-    counter.Add(3);
-    gauge.Set(static_cast<double>(i));
-    gauge.Add(1.0);
-    hist.Record(static_cast<uint64_t>(i) * 97);
-    sink_counter.Increment();
-    sink_hist.Record(static_cast<uint64_t>(i));
-  }
-  int64_t after = ThreadAllocationCount();
-  EXPECT_EQ(after - before, 0)
-      << (after - before) << " allocations in " << kMeasuredRounds
-      << " metric instrument rounds";
+  auto run = [&] {
+    int64_t before = ThreadAllocationCount();
+    for (int i = 0; i < kMeasuredRounds; ++i) {
+      counter.Increment();
+      counter.Add(3);
+      gauge.Set(static_cast<double>(i));
+      gauge.Add(1.0);
+      hist.Record(static_cast<uint64_t>(i) * 97);
+      sink_counter.Increment();
+      sink_gauge.Sub(1.0);
+      sink_hist.Record(static_cast<uint64_t>(i));
+    }
+    return ThreadAllocationCount() - before;
+  };
+  int64_t main_thread = run();
+  EXPECT_EQ(main_thread, 0) << main_thread << " allocations in "
+                            << kMeasuredRounds << " metric instrument rounds";
+
+  // A fresh thread has no stripe yet: its first writes, inside the
+  // measured region, assign one.
+  int64_t fresh_thread = -1;
+  std::thread([&] { fresh_thread = run(); }).join();
+  EXPECT_EQ(fresh_thread, 0)
+      << fresh_thread << " allocations on a fresh thread's first writes";
 }
 
 TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -261,14 +262,24 @@ TEST(DumpCodec, RejectsMalformedInput) {
 
 // -------------------------------------------------------------- concurrency
 
+/// The value of the first exposition sample line starting `series ` (0 when
+/// absent).
+double ScrapedValue(const std::string& text, const std::string& series) {
+  size_t at = text.find("\n" + series + " ");
+  if (at == std::string::npos) return 0.0;
+  return std::stod(text.substr(at + series.size() + 2));
+}
+
 TEST(MetricRegistryConcurrency, WritersRaceRenderAndDump) {
-  // TSan target: 4 writer threads hammer one counter, one gauge, and one
-  // histogram while the main thread renders + encodes in a loop. All cell
-  // traffic is atomic; the registry mutex only guards structure. Final
-  // values must be exact — relaxed ordering loses no increments.
+  // TSan target: 2 × kStripes writer threads — so every stripe is shared by
+  // two threads — hammer one counter, one gauge, and one histogram while a
+  // reader renders + encodes in a loop. All cell traffic is atomic; the
+  // registry mutex only guards structure. Summed over the stripes, final
+  // values must be exact: relaxed ordering loses no increments, and the
+  // gauge's deltas are integral, so their sum is exact in any order.
   MetricRegistry registry;
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 20000;
+  constexpr int kThreads = 2 * static_cast<int>(kStripes);
+  constexpr int kOpsPerThread = 5000;
   Counter counter = registry.GetCounter("race_total", "h");
   Gauge gauge = registry.GetGauge("race_gauge", "h");
   Histogram hist = registry.GetHistogram("race_ns", "h");
@@ -285,7 +296,9 @@ TEST(MetricRegistryConcurrency, WritersRaceRenderAndDump) {
       Histogram h = registry.GetHistogram("race_ns", "h");
       for (int i = 0; i < kOpsPerThread; ++i) {
         c.Increment();
-        g.Add(1.0);
+        c.Add(2);
+        g.Add(3.0);
+        g.Sub(1.0);
         h.Record(static_cast<uint64_t>((t + 1) * 100 + i % 50));
       }
     });
@@ -303,17 +316,51 @@ TEST(MetricRegistryConcurrency, WritersRaceRenderAndDump) {
   stop.store(true, std::memory_order_release);
   reader.join();
 
-  EXPECT_EQ(counter.value(), uint64_t{kThreads} * kOpsPerThread);
-  EXPECT_DOUBLE_EQ(gauge.value(), double(kThreads) * kOpsPerThread);
-  EXPECT_EQ(hist.count(), int64_t{kThreads} * kOpsPerThread);
+  constexpr uint64_t kOps = uint64_t{kThreads} * kOpsPerThread;
+  uint64_t hist_sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kOpsPerThread; ++i) {
+      hist_sum += static_cast<uint64_t>((t + 1) * 100 + i % 50);
+    }
+  }
+  EXPECT_EQ(counter.value(), 3 * kOps);
+  EXPECT_EQ(gauge.value(), 2.0 * static_cast<double>(kOps));
+  EXPECT_EQ(hist.count(), static_cast<int64_t>(kOps));
+  EXPECT_EQ(hist.sum(), hist_sum);
 
   MetricsDump dump;
   ASSERT_TRUE(DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
-  EXPECT_EQ(dump.CounterValue("race_total"),
-            uint64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(dump.CounterValue("race_total"), 3 * kOps);
+  const DumpInstrument* g = dump.Find("race_gauge");
+  ASSERT_NE(g, nullptr);
+  EXPECT_EQ(g->gauge, 2.0 * static_cast<double>(kOps));
   const DumpInstrument* h = dump.Find("race_ns");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->hist_count, int64_t{kThreads} * kOpsPerThread);
+  EXPECT_EQ(h->hist_count, static_cast<int64_t>(kOps));
+  EXPECT_EQ(h->hist_sum, hist_sum);
+  EXPECT_EQ(h->HistogramQuantile(0.5), hist.Quantile(0.5));
+
+  const std::string text = registry.RenderPrometheus();
+  EXPECT_EQ(ScrapedValue(text, "race_total"), static_cast<double>(3 * kOps));
+  EXPECT_EQ(ScrapedValue(text, "race_gauge"), 2.0 * static_cast<double>(kOps));
+  EXPECT_EQ(ScrapedValue(text, "race_ns_count"), static_cast<double>(kOps));
+  EXPECT_EQ(ScrapedValue(text, "race_ns_bucket{le=\"+Inf\"}"),
+            static_cast<double>(kOps));
+  EXPECT_EQ(ScrapedValue(text, "race_ns_sum"), static_cast<double>(hist_sum));
+
+  // Every stripe of the gauge now holds a delta. Set on the quiescent gauge
+  // must still read back bit for bit, non-finite values and -0.0 included.
+  for (double v : {-2.25, -0.0, std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    gauge.Set(v);
+    EXPECT_EQ(std::bit_cast<uint64_t>(gauge.value()), std::bit_cast<uint64_t>(v))
+        << v;
+    ASSERT_TRUE(DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
+    EXPECT_EQ(std::bit_cast<uint64_t>(dump.Find("race_gauge")->gauge),
+              std::bit_cast<uint64_t>(v))
+        << v;
+  }
 }
 
 }  // namespace

@@ -23,6 +23,13 @@ the CI gate, refresh the committed baseline from a runner-produced artifact
 (`BENCH_broker_scaling.ci.json`) rather than a dev-box run — see README
 "Performance".
 
+Independently of the baseline, CURRENT must scale: when its own
+`hardware_concurrency` is at least 4, the own-product t=4/b=1 series must
+reach `parallel_efficiency` >= 0.5 (efficiency against the same regime's
+t=1 cell in the same document). This floor is checked even when the
+hardware-mismatch skip disarms the per-series gate, since it compares the
+document only with itself.
+
 Stdlib only; no third-party dependencies.
 """
 
@@ -31,6 +38,13 @@ import json
 import sys
 
 SCHEMA = "pdm.bench_broker.v2"
+
+# The intra-document scaling floor. 0.5, not higher: with striped metric
+# cells, six smoke sweeps on a 4-vCPU VM read 0.60-1.01 (0.24-0.53 before
+# striping), and a floor near the low end would flake.
+FLOOR_SERIES = "own-product/t=4/b=1"
+FLOOR_EFFICIENCY = 0.5
+FLOOR_MIN_HARDWARE = 4
 
 
 def load_doc(path):
@@ -55,6 +69,27 @@ def load_doc(path):
     if not rows:
         sys.exit(f"compare_broker_scaling: {path} contains no series rows")
     return doc, rows
+
+
+def efficiency_floor_failure(doc, rows):
+    """Returns a failure line when CURRENT misses the scaling floor, else None."""
+    hw = doc.get("hardware_concurrency")
+    if hw is None or hw < FLOOR_MIN_HARDWARE:
+        print(
+            f"NOTE: efficiency floor not armed: hardware_concurrency={hw} "
+            f"< {FLOOR_MIN_HARDWARE}"
+        )
+        return None
+    row = rows.get(FLOOR_SERIES)
+    if row is None:
+        return f"  {FLOOR_SERIES}: missing, so the efficiency floor cannot be checked"
+    efficiency = row.get("parallel_efficiency")
+    if efficiency is None or efficiency < FLOOR_EFFICIENCY:
+        return (
+            f"  {FLOOR_SERIES}: parallel_efficiency {efficiency!r} is below the "
+            f"floor {FLOOR_EFFICIENCY} (hardware_concurrency={hw})"
+        )
+    return None
 
 
 def main():
@@ -85,6 +120,7 @@ def main():
 
     base_doc, baseline = load_doc(args.baseline)
     cur_doc, current = load_doc(args.current)
+    floor_failure = efficiency_floor_failure(cur_doc, current)
 
     base_hw = base_doc.get("hardware_concurrency")
     cur_hw = cur_doc.get("hardware_concurrency")
@@ -116,9 +152,12 @@ def main():
             "artifact as BENCH_broker_scaling.json — README 'Performance'), or "
             "pass --ignore-hardware-mismatch to force the comparison."
         )
+        if floor_failure:
+            print(f"FAIL: scaling floor missed ({args.current}):\n{floor_failure}")
+            return 1
         return 0
 
-    failures = []
+    failures = [floor_failure] if floor_failure else []
     improvements = 0
     for name in sorted(baseline):
         base_row = baseline[name]
@@ -161,8 +200,9 @@ def main():
 
     if failures:
         print(
-            f"FAIL: {len(failures)} series mismatched or regressed beyond "
-            f"{100 * args.tolerance:.0f}% ({args.baseline} -> {args.current}):"
+            f"FAIL: {len(failures)} series mismatched, regressed beyond "
+            f"{100 * args.tolerance:.0f}% or below the scaling floor "
+            f"({args.baseline} -> {args.current}):"
         )
         print("\n".join(failures))
         print(

@@ -34,12 +34,19 @@ def run(script, *argv):
     return proc.returncode, proc.stdout
 
 
-def scaling_doc(rate=100000.0, hw=4, series="own-product/t=1", extra_series=()):
+def scaling_doc(rate=100000.0, hw=4, series="own-product/t=1", extra_series=(),
+                efficiency=0.69):
+    """Every v2 document carries the efficiency-floor series (t=4/b=1)."""
     rows = [
         {
             "series": series,
             "aggregate_rounds_per_sec": rate,
-        }
+        },
+        {
+            "series": "own-product/t=4/b=1",
+            "aggregate_rounds_per_sec": rate,
+            "parallel_efficiency": efficiency,
+        },
     ]
     for name, value in extra_series:
         rows.append({"series": name, "aggregate_rounds_per_sec": value})
@@ -199,8 +206,9 @@ class CompareScriptTest(unittest.TestCase):
         code, out = run(SCALING, base, cur)
         self.assertEqual(code, 0, out)
         self.assertEqual(out.count("::warning"), 1)
-        self.assertIn("3 series skipped", out)
-        for name in ("own-product/t=1", "own-product/t=8", "shared-product/t=1"):
+        self.assertIn("4 series skipped", out)
+        for name in ("own-product/t=1", "own-product/t=4/b=1", "own-product/t=8",
+                     "shared-product/t=1"):
             self.assertIn(name, out)
 
     def test_scaling_hardware_mismatch_forced_comparison(self):
@@ -209,6 +217,32 @@ class CompareScriptTest(unittest.TestCase):
         code, out = run(SCALING, base, cur, "--ignore-hardware-mismatch")
         self.assertEqual(code, 1, out)
         self.assertIn("regressed", out)
+
+    # ------------------------------------- scaling: the efficiency floor
+
+    def test_scaling_efficiency_floor_passes(self):
+        base = self.write("base.json", scaling_doc())
+        cur = self.write("cur.json", scaling_doc(efficiency=0.69))
+        code, out = run(SCALING, base, cur)
+        self.assertEqual(code, 0, out)
+        self.assertIn("OK", out)
+
+    def test_scaling_efficiency_floor_fails_even_on_hardware_mismatch(self):
+        """The floor compares CURRENT with itself, so a baseline from other
+        hardware does not disarm it. 0.27 is the unstriped cells' reading."""
+        for base_hw in (4, 1):
+            base = self.write("base.json", scaling_doc(hw=base_hw))
+            cur = self.write("cur.json", scaling_doc(hw=4, efficiency=0.27))
+            code, out = run(SCALING, base, cur)
+            self.assertEqual(code, 1, out)
+            self.assertIn("below the floor 0.5", out)
+
+    def test_scaling_efficiency_floor_skipped_below_four_cores(self):
+        base = self.write("base.json", scaling_doc(hw=2))
+        cur = self.write("cur.json", scaling_doc(hw=2, efficiency=0.27))
+        code, out = run(SCALING, base, cur)
+        self.assertEqual(code, 0, out)
+        self.assertIn("efficiency floor not armed", out)
 
     # ------------------------------------------------------- serving
 
