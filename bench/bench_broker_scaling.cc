@@ -17,13 +17,22 @@
 // aggregate rate, the per-thread min/median (the aggregate can hide a starved
 // client), and the parallel efficiency relative to the same (regime, batch)
 // single-thread cell. The repository commits a baseline at the repo root; CI
-// re-runs the sweep in smoke mode and `tools/compare_broker_scaling.py`
-// fails the build when any series regresses beyond tolerance or the series
-// sets diverge (README "Performance").
+// re-runs the sweep in smoke mode and `tools/compare_bench.py` applies the
+// pdm.bench_broker.v2 rows of its rule table: it fails the build when any
+// series' aggregate rate falls more than 25%, the series sets diverge, or
+// (on >= 4 hardware threads) own-product/t=4/b=1 efficiency is below 0.5
+// (README "Performance").
+//
+// `--metrics=live` wires a MetricRegistry into every cell's broker and
+// `--faults=armed-but-idle` arms the fault injector with zero sites; each
+// against its `none` default is the manual "< 3 %" hot-path overhead check
+// of DESIGN.md §13 / §14.
 //
 //   bench_broker_scaling                       # full sweep
 //   bench_broker_scaling --smoke               # CI mode (caps rounds at 50000)
 //   bench_broker_scaling --threads_list=1,4 --regime=own-product --batch=1,32
+//   bench_broker_scaling --regime=own-product --threads_list=1,8 --batch=64 \
+//       --metrics=live                         # vs --metrics=none
 
 #include <cstdint>
 #include <cstdio>
@@ -35,11 +44,13 @@
 #include <vector>
 
 #include "broker_bench_util.h"
+#include "common/fault.h"
 #include "common/flags.h"
 #include "common/json_writer.h"
 #include "common/memory.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
+#include "metrics/metrics.h"
 
 namespace {
 
@@ -67,7 +78,17 @@ int main(int argc, char** argv) {
   pdm::broker_bench::ProductSetup setup;
   bool smoke = false;
   std::string out_path = "BENCH_broker_scaling.json";
+  std::string metrics_mode = "none";
+  std::string faults_mode = "none";
   pdm::FlagSet flags("bench_broker_scaling");
+  flags.AddString("metrics", &metrics_mode,
+                  "metric gateway on the hot path: none (sink cells) or live "
+                  "(a wired MetricRegistry) — the <3%% regression check "
+                  "compares the two");
+  flags.AddString("faults", &faults_mode,
+                  "fault injector on the hot path: none (disarmed) or "
+                  "armed-but-idle (armed, zero sites) — the <3%% §14 check "
+                  "compares the two");
   flags.AddString("threads_list", &threads_csv, "comma-separated thread counts");
   flags.AddString("regime", &regime_filter,
                   "run only one regime ('own-product' or 'shared-product'; "
@@ -101,6 +122,18 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "rounds/dim/workload_rounds must be positive\n");
     return 1;
   }
+  if (metrics_mode != "none" && metrics_mode != "live") {
+    std::fprintf(stderr, "--metrics must be 'none' or 'live'\n");
+    return 1;
+  }
+  if (faults_mode != "none" && faults_mode != "armed-but-idle") {
+    std::fprintf(stderr, "--faults must be 'none' or 'armed-but-idle'\n");
+    return 1;
+  }
+  // armed-but-idle: the injector is armed with no sites configured, so every
+  // ShouldFail() pays the full armed-path lookup and always misses — the
+  // worst case for the disabled-fault hot path the <3% check bounds.
+  if (faults_mode == "armed-but-idle") pdm::fault::FaultInjector::Global().Arm();
   setup.rounds = rounds;
 
   struct Regime {
@@ -110,9 +143,10 @@ int main(int argc, char** argv) {
   const Regime kRegimes[] = {{"own-product", false}, {"shared-product", true}};
 
   std::printf("=== broker scaling sweep: threads {%s} x batch {%s} x regimes, "
-              "%ld rounds/client, n=%ld ===\n\n",
+              "%ld rounds/client, n=%ld, metrics=%s, faults=%s ===\n\n",
               threads_csv.c_str(), batch_csv.c_str(), static_cast<long>(rounds),
-              static_cast<long>(setup.dim));
+              static_cast<long>(setup.dim), metrics_mode.c_str(),
+              faults_mode.c_str());
 
   std::vector<Cell> cells;
   for (const Regime& regime : kRegimes) {
@@ -123,7 +157,10 @@ int main(int argc, char** argv) {
         // Fresh broker + fresh engines per cell: cells must not inherit each
         // other's knowledge-set refinement (cut cadence changes the rate).
         pdm::scenario::StreamFactory factory;
-        pdm::broker::Broker broker;
+        pdm::metrics::MetricRegistry registry;
+        pdm::broker::BrokerConfig broker_config;
+        if (metrics_mode == "live") broker_config.metrics = &registry;
+        pdm::broker::Broker broker(broker_config);
         int64_t products = regime.shared_product ? 1 : threads;
         std::vector<pdm::broker_bench::ProductWorkload> workloads =
             pdm::broker_bench::OpenProducts(&factory, &broker, products, setup,
@@ -198,6 +235,8 @@ int main(int argc, char** argv) {
     json.Field("dim", setup.dim);
     json.Field("workload_rounds", setup.workload_rounds);
     json.Field("delta", setup.delta);
+    json.Field("metrics", metrics_mode);
+    json.Field("faults", faults_mode);
     json.Field("hardware_concurrency",
                static_cast<int64_t>(std::thread::hardware_concurrency()));
     json.Field("rss_bytes", rss_bytes);

@@ -17,8 +17,10 @@
 //
 // Emits BENCH_memory.json (schema pdm.bench_memory.v1). The repository
 // commits a baseline at the repo root; CI re-runs in smoke mode and
-// `tools/compare_memory.py` fails the build when bytes/product or the
-// packed-vs-dense savings regress (README "Memory & scale").
+// `tools/compare_bench.py` applies its pdm.bench_memory.v1 rule-table rows:
+// it fails the build when bytes/product or a latency quantile regresses
+// beyond tolerance, a fault-in histogram stops recording, touches error, or
+// the packed-vs-dense savings fall below 35% (README "Memory & scale").
 //
 //   bench_memory_soak                       # full run (100k products)
 //   bench_memory_soak --smoke               # CI mode (100k products, short touch phase)

@@ -5,10 +5,12 @@
 // recorded tail instead of silently slowing the load).
 //
 // Emits BENCH_serving.json (schema pdm.bench_serving.v1). The repository
-// commits a baseline at the repo root; CI re-runs in smoke mode and
-// `tools/compare_serving.py` fails the build when latency or throughput
-// regresses beyond tolerance — the gate only arms when the baseline's
-// hardware_concurrency matches the runner's (README "Performance").
+// commits a baseline at the repo root; CI produces the same document with
+// `pdm_serve` + `loadgen --smoke`, and `tools/compare_bench.py` applies its
+// pdm.bench_serving.v1 rule-table rows: it fails the build when latency or
+// throughput regresses beyond tolerance or a request errored — the baseline
+// rules only arm when the baseline's hardware_concurrency matches the
+// runner's (README "Serving over TCP").
 //
 //   bench_serving                      # full run
 //   bench_serving --smoke              # CI mode (caps rounds at 2000/conn)

@@ -23,11 +23,11 @@
 #include "scenario/stream_factory.h"
 
 /// \file
-/// Shared client harness for the broker serving benches
-/// (`bench_broker_throughput`, `bench_broker_scaling`): product setup over
-/// precomputed linear workloads, and the timed client loop — batched
-/// handle-keyed `PostPrices` + batched ticketed `Observes`, the steady-state
-/// fast path real clients should use (DESIGN.md §9).
+/// Shared client harness for the broker benches (`bench_broker_scaling`, the
+/// serving binaries): product setup over precomputed linear workloads, and
+/// the timed client loop — batched handle-keyed `PostPrices` + batched
+/// ticketed `Observes`, the steady-state fast path real clients should use
+/// (DESIGN.md §9).
 
 namespace pdm::broker_bench {
 

@@ -320,8 +320,9 @@ inline LoadResult RunLoad(const LoadConfig& config,
 }
 
 /// Emits the `pdm.bench_serving.v1` document: run configuration plus one
-/// latency series (quantiles in nanoseconds). `tools/compare_serving.py`
-/// gates CI on this schema against the committed BENCH_serving.json.
+/// latency series (quantiles in nanoseconds). `tools/compare_bench.py`
+/// gates CI on this schema's rule-table rows against the committed
+/// BENCH_serving.json.
 inline bool WriteServingJson(const std::string& path, const LoadConfig& config,
                              const broker_bench::ProductSetup& setup,
                              int64_t products, bool smoke, const LoadResult& load) {

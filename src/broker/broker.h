@@ -43,8 +43,8 @@
 /// never reused), which is what makes `ProductHandle`s and ticket bases
 /// stable for the broker's life. Steady-state PostPrice/Observe round trips
 /// perform zero heap allocations (tests/allocation_test.cc);
-/// `bench/bench_broker_throughput` and `bench/bench_broker_scaling` track
-/// the multi-threaded round-trip rate and its scaling curve.
+/// `bench/bench_broker_scaling` tracks the multi-threaded round-trip rate
+/// and its scaling curve.
 ///
 /// Memory model at scale (DESIGN.md §12): slot and session objects live in a
 /// slab arena (`common/arena.h`) — slots are bump-allocated and never freed

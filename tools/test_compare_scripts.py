@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Unit tests for the CI compare scripts (stdlib unittest; registered with
-CTest as `compare_scripts_test`).
+"""Unit tests for the CI bench gate `compare_bench.py` and the metrics-scrape
+tools (stdlib unittest; registered with CTest as `compare_scripts_test`).
 
 The scripts are exercised as subprocesses — exit status and stdout are their
 public contract with CI. The regression pinned here is the silently disarmed
-gate: a baseline with a non-positive metric, or a hardware mismatch, must be
-LOUD (hard failure, or exit 0 with a ::warning:: annotation), never a quiet
-pass.
+gate: a baseline with a non-positive metric, a hardware mismatch, or a latency
+histogram that stopped recording must be LOUD (hard failure, or exit 0 with a
+::warning:: annotation), never a quiet pass.
 """
 
 import json
@@ -17,9 +17,7 @@ import tempfile
 import unittest
 
 TOOLS = pathlib.Path(__file__).resolve().parent
-SCALING = TOOLS / "compare_broker_scaling.py"
-SERVING = TOOLS / "compare_serving.py"
-MEMORY = TOOLS / "compare_memory.py"
+COMPARE = TOOLS / "compare_bench.py"
 CHECK_METRICS = TOOLS / "check_metrics.py"
 METRICS_TO_JSON = TOOLS / "metrics_to_json.py"
 
@@ -110,12 +108,13 @@ def memory_series(name, packed, bytes_per_product, fault_count=0, touch_errors=0
     }
 
 
-def memory_doc(dense=10000.0, packed=4000.0, hw=4, touch_errors=0):
+def memory_doc(dense=10000.0, packed=4000.0, hw=4, touch_errors=0,
+               fault_count=5000):
     return {
         "schema": "pdm.bench_memory.v1",
         "hardware_concurrency": hw,
         "series": [
-            memory_series("packed-cold", True, packed, fault_count=5000,
+            memory_series("packed-cold", True, packed, fault_count=fault_count,
                           touch_errors=touch_errors),
             memory_series("dense-resident", False, dense),
         ],
@@ -137,14 +136,14 @@ class CompareScriptTest(unittest.TestCase):
     def test_scaling_ok(self):
         base = self.write("base.json", scaling_doc(rate=100000.0))
         cur = self.write("cur.json", scaling_doc(rate=99000.0))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("OK", out)
 
     def test_scaling_regression_fails(self):
         base = self.write("base.json", scaling_doc(rate=100000.0))
         cur = self.write("cur.json", scaling_doc(rate=50000.0))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("regressed", out)
 
@@ -154,7 +153,7 @@ class CompareScriptTest(unittest.TestCase):
             scaling_doc(extra_series=[("shared-product/t=1", 90000.0)]),
         )
         cur = self.write("cur.json", scaling_doc())
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("missing from current", out)
 
@@ -170,7 +169,7 @@ class CompareScriptTest(unittest.TestCase):
             "cur.json",
             scaling_doc(extra_series=[("own-product/t=1/b=8", 90000.0)]),
         )
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("missing from baseline", out)
         self.assertIn("refresh the committed baseline", out)
@@ -181,7 +180,7 @@ class CompareScriptTest(unittest.TestCase):
         """A non-positive baseline metric must FAIL, not silently pass."""
         base = self.write("base.json", scaling_doc(rate=0.0))
         cur = self.write("cur.json", scaling_doc(rate=100.0))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("non-positive", out)
         self.assertIn("re-record", out)
@@ -189,7 +188,7 @@ class CompareScriptTest(unittest.TestCase):
     def test_scaling_hardware_mismatch_skips_with_warning_annotation(self):
         base = self.write("base.json", scaling_doc(hw=1))
         cur = self.write("cur.json", scaling_doc(hw=4, rate=10.0))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("SKIPPED", out)
         self.assertIn("::warning", out)
@@ -203,7 +202,7 @@ class CompareScriptTest(unittest.TestCase):
                                             ("own-product/t=8", 80000.0)]),
         )
         cur = self.write("cur.json", scaling_doc(hw=4))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertEqual(out.count("::warning"), 1)
         self.assertIn("4 series skipped", out)
@@ -214,7 +213,7 @@ class CompareScriptTest(unittest.TestCase):
     def test_scaling_hardware_mismatch_forced_comparison(self):
         base = self.write("base.json", scaling_doc(hw=1, rate=100000.0))
         cur = self.write("cur.json", scaling_doc(hw=4, rate=10.0))
-        code, out = run(SCALING, base, cur, "--ignore-hardware-mismatch")
+        code, out = run(COMPARE, base, cur, "--ignore-hardware-mismatch")
         self.assertEqual(code, 1, out)
         self.assertIn("regressed", out)
 
@@ -223,7 +222,7 @@ class CompareScriptTest(unittest.TestCase):
     def test_scaling_efficiency_floor_passes(self):
         base = self.write("base.json", scaling_doc())
         cur = self.write("cur.json", scaling_doc(efficiency=0.69))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("OK", out)
 
@@ -233,14 +232,14 @@ class CompareScriptTest(unittest.TestCase):
         for base_hw in (4, 1):
             base = self.write("base.json", scaling_doc(hw=base_hw))
             cur = self.write("cur.json", scaling_doc(hw=4, efficiency=0.27))
-            code, out = run(SCALING, base, cur)
+            code, out = run(COMPARE, base, cur)
             self.assertEqual(code, 1, out)
             self.assertIn("below the floor 0.5", out)
 
     def test_scaling_efficiency_floor_skipped_below_four_cores(self):
         base = self.write("base.json", scaling_doc(hw=2))
         cur = self.write("cur.json", scaling_doc(hw=2, efficiency=0.27))
-        code, out = run(SCALING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("efficiency floor not armed", out)
 
@@ -249,14 +248,14 @@ class CompareScriptTest(unittest.TestCase):
     def test_serving_ok(self):
         base = self.write("base.json", serving_doc())
         cur = self.write("cur.json", serving_doc(p99=520000, rps=7900.0))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("OK", out)
 
     def test_serving_latency_regression_fails(self):
         base = self.write("base.json", serving_doc(p99=500000))
         cur = self.write("cur.json", serving_doc(p99=2000000))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("p99 latency rose", out)
 
@@ -264,34 +263,34 @@ class CompareScriptTest(unittest.TestCase):
         # Default latency tolerance is 1.0: doubling is the boundary.
         base = self.write("base.json", serving_doc(p999=900000))
         cur = self.write("cur.json", serving_doc(p999=1700000))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
 
     def test_serving_throughput_regression_fails(self):
         base = self.write("base.json", serving_doc(rps=8000.0))
         cur = self.write("cur.json", serving_doc(rps=4000.0))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("achieved_rounds_per_sec", out)
 
     def test_serving_errors_fail(self):
         base = self.write("base.json", serving_doc())
         cur = self.write("cur.json", serving_doc(errors=3))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("request errors", out)
 
     def test_serving_zero_baseline_fails_loudly(self):
         base = self.write("base.json", serving_doc(p50=0))
         cur = self.write("cur.json", serving_doc())
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("non-positive", out)
 
     def test_serving_hardware_mismatch_skips_with_warning_annotation(self):
         base = self.write("base.json", serving_doc(hw=1))
         cur = self.write("cur.json", serving_doc(hw=4, p99=10**9))
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("SKIPPED", out)
         self.assertEqual(out.count("::warning"), 1)
@@ -302,14 +301,23 @@ class CompareScriptTest(unittest.TestCase):
         doc = serving_doc()
         doc["series"][0]["series"] = "renamed"
         cur = self.write("cur.json", doc)
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("missing from current", out)
+
+    def test_serving_new_series_in_current_fails(self):
+        base = self.write("base.json", serving_doc())
+        doc = serving_doc()
+        doc["series"].append(dict(doc["series"][0], series="second"))
+        cur = self.write("cur.json", doc)
+        code, out = run(COMPARE, base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("second: present in current but missing from baseline", out)
 
     def test_serving_wrong_schema_rejected(self):
         base = self.write("base.json", serving_doc())
         cur = self.write("cur.json", scaling_doc())
-        code, out = run(SERVING, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertNotEqual(code, 0, out)
         self.assertIn("schema", out)
 
@@ -318,14 +326,14 @@ class CompareScriptTest(unittest.TestCase):
     def test_memory_ok(self):
         base = self.write("base.json", memory_doc())
         cur = self.write("cur.json", memory_doc(dense=10500.0, packed=4100.0))
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("OK", out)
 
     def test_memory_bytes_per_product_regression_fails(self):
         base = self.write("base.json", memory_doc(packed=4000.0))
         cur = self.write("cur.json", memory_doc(packed=6000.0))
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("bytes_per_product rose", out)
 
@@ -335,37 +343,61 @@ class CompareScriptTest(unittest.TestCase):
         doc = memory_doc(dense=10000.0, packed=8000.0)  # only 20% savings
         base = self.write("base.json", doc)
         cur = self.write("cur.json", doc)
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("saves only 20.0%", out)
 
-    def test_memory_savings_gate_threshold_is_tunable(self):
-        doc = memory_doc(dense=10000.0, packed=8000.0)
-        base = self.write("base.json", doc)
+    def test_memory_savings_gate_boundary_at_fixed_threshold(self):
+        """The 35% savings floor is a rule-table constant: exactly 35.0%
+        passes, 34.9% fails."""
+        for packed, want in ((6500.0, 0), (6510.0, 1)):
+            doc = memory_doc(dense=10000.0, packed=packed)
+            base = self.write("base.json", doc)
+            cur = self.write("cur.json", doc)
+            code, out = run(COMPARE, base, cur)
+            self.assertEqual(code, want, out)
+        self.assertIn("saves only 34.9%", out)
+
+    def test_memory_emptied_fault_histogram_fails(self):
+        """A latency group that recorded in the baseline but is empty now
+        means the cold tier stopped faulting — a disarmed gate, not an
+        improvement."""
+        base = self.write("base.json", memory_doc(fault_count=5000))
+        cur = self.write("cur.json", memory_doc(fault_count=0, packed=4500.0))
+        code, out = run(COMPARE, base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("packed-cold: fault_in_ns stopped recording", out)
+
+    def test_memory_new_series_in_current_fails(self):
+        base = self.write("base.json", memory_doc())
+        doc = memory_doc()
+        doc["series"].append(memory_series("packed-resident", True, 5600.0))
         cur = self.write("cur.json", doc)
-        code, out = run(MEMORY, base, cur, "--min-savings=0.15")
-        self.assertEqual(code, 0, out)
+        code, out = run(COMPARE, base, cur)
+        self.assertEqual(code, 1, out)
+        self.assertIn("packed-resident: present in current but missing from "
+                      "baseline", out)
 
     def test_memory_missing_required_series_fails(self):
         base = self.write("base.json", memory_doc())
         doc = memory_doc()
         doc["series"] = [doc["series"][1]]  # drop packed-cold
         cur = self.write("cur.json", doc)
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("'packed-cold' is missing", out)
 
     def test_memory_touch_errors_fail(self):
         base = self.write("base.json", memory_doc())
         cur = self.write("cur.json", memory_doc(touch_errors=2))
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("touch errors", out)
 
     def test_memory_zero_baseline_fails_loudly(self):
         base = self.write("base.json", memory_doc(dense=0.0))
         cur = self.write("cur.json", memory_doc())
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("non-positive", out)
         self.assertIn("re-record", out)
@@ -375,7 +407,7 @@ class CompareScriptTest(unittest.TestCase):
         doc = memory_doc()
         doc["series"][0]["fault_in_ns"]["p99"] = 50000000
         cur = self.write("cur.json", doc)
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("fault_in_ns.p99 rose", out)
 
@@ -384,7 +416,7 @@ class CompareScriptTest(unittest.TestCase):
         # both sides must not trip the non-positive-baseline check.
         base = self.write("base.json", memory_doc())
         cur = self.write("cur.json", memory_doc())
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
 
     def test_memory_hardware_mismatch_skips_baseline_but_keeps_savings_gate(self):
@@ -392,7 +424,7 @@ class CompareScriptTest(unittest.TestCase):
         # intra-document savings gate still runs — and passes here.
         base = self.write("base.json", memory_doc(hw=1))
         cur = self.write("cur.json", memory_doc(hw=4, packed=4100.0))
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("SKIPPED", out)
         self.assertEqual(out.count("::warning"), 1)
@@ -402,23 +434,48 @@ class CompareScriptTest(unittest.TestCase):
     def test_memory_hardware_mismatch_still_fails_on_lost_savings(self):
         base = self.write("base.json", memory_doc(hw=1))
         cur = self.write("cur.json", memory_doc(hw=4, packed=9000.0))
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("saves only", out)
 
     def test_memory_hardware_mismatch_forced_comparison(self):
         base = self.write("base.json", memory_doc(hw=1, packed=4000.0))
         cur = self.write("cur.json", memory_doc(hw=4, packed=6000.0))
-        code, out = run(MEMORY, base, cur, "--ignore-hardware-mismatch")
+        code, out = run(COMPARE, base, cur, "--ignore-hardware-mismatch")
         self.assertEqual(code, 1, out)
         self.assertIn("bytes_per_product rose", out)
 
     def test_memory_wrong_schema_rejected(self):
         base = self.write("base.json", memory_doc())
         cur = self.write("cur.json", serving_doc())
-        code, out = run(MEMORY, base, cur)
+        code, out = run(COMPARE, base, cur)
         self.assertNotEqual(code, 0, out)
         self.assertIn("schema", out)
+
+    # ------------------------------------------------ malformed input
+
+    def assert_clean_rejection(self, doc):
+        """Malformed input exits 1 with one line naming the file — never a
+        traceback."""
+        good = self.write("good.json", serving_doc())
+        bad = self.write("bad.json", doc)
+        for argv in ((bad, bad), (good, bad)):
+            code, out = run(COMPARE, *argv)
+            self.assertEqual(code, 1, out)
+            self.assertNotIn("Traceback", out)
+            self.assertEqual(len(out.strip().splitlines()), 1, out)
+            self.assertIn(bad, out)
+
+    def test_top_level_array_rejected_cleanly(self):
+        self.assert_clean_rejection([serving_doc()])
+
+    def test_non_object_series_row_rejected_cleanly(self):
+        doc = serving_doc()
+        doc["series"].append("round-trip")
+        self.assert_clean_rejection(doc)
+
+    def test_non_numeric_gated_value_rejected_cleanly(self):
+        self.assert_clean_rejection(serving_doc(p99="fast"))
 
     # -------------------------------------------- check_metrics (scrapes)
 
