@@ -43,8 +43,8 @@ int main() {
     base_config.horizon = config.num_listings;
     // Production stance: the platform just fit the hedonic model itself, so
     // its prior is the fit plus a small uncertainty ball; the online engine
-    // hedges residual error and drift. (bench_fig5b explores the cold-start
-    // regime where the prior is only coarse market knowledge.)
+    // hedges residual error and drift. (`pdm_run --scenarios=fig5b` explores
+    // the cold-start regime where the prior is only coarse market knowledge.)
     base_config.initial_center = m.theta;
     base_config.initial_radius = 0.01;
     base_config.epsilon = 0.04;

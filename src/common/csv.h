@@ -6,8 +6,8 @@
 #include <vector>
 
 /// \file
-/// CSV emission for bench series (--csv=path dumps the plotted series so
-/// figures can be regenerated with any plotting tool).
+/// CSV emission (examples/generate_datasets writes its synthetic tables with
+/// it, so they load into any spreadsheet or plotting tool).
 
 namespace pdm {
 

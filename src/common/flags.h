@@ -16,7 +16,7 @@
 /// Example:
 /// \code
 ///   int64_t rounds = 100000;
-///   pdm::FlagSet flags("bench_fig4");
+///   pdm::FlagSet flags("pdm_run");
 ///   flags.AddInt64("rounds", &rounds, "number of pricing rounds");
 ///   if (!flags.Parse(argc, argv)) return 1;
 /// \endcode

@@ -17,7 +17,8 @@
 /// Phase 2 (remaining rounds): queries probe e₂ with no reserve. The safe
 /// engine still has an O(1)-width knowledge set along e₂ and pays polylog
 /// regret; the unsafe engine must bisect an exponentially inflated width,
-/// paying Ω(T) regret. bench_lemma8_adversarial reproduces the separation.
+/// paying Ω(T) regret. `pdm_run --scenarios=lemma8` reproduces the
+/// separation.
 
 namespace pdm {
 

@@ -19,7 +19,7 @@
 /// This workload exercises a value surface that is *non-linear in the raw
 /// features*: a plain linear engine on x is misspecified and plateaus at the
 /// misspecification error, while the kernelized engine converges — the
-/// comparison bench_kernel_pricing runs.
+/// comparison `pdm_run --scenarios=kernel` renders.
 
 namespace pdm {
 

@@ -47,7 +47,7 @@ struct EllipsoidEngineConfig {
   /// Enforce the reserve-price constraint (Algorithm 1/2 vs the * variants).
   bool use_reserve = true;
   /// ABLATION ONLY: also cut on conservative-price feedback. Unsafe — see
-  /// Lemma 8 / bench_lemma8_adversarial.
+  /// Lemma 8 / `pdm_run --scenarios=lemma8`.
   bool allow_conservative_cuts = false;
   /// Store the shape matrix packed (upper triangle only): n(n+1)/2 doubles
   /// instead of n², halving the dominant per-product bytes at serving scale

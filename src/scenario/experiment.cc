@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <utility>
 
 #include "common/json_writer.h"
@@ -166,15 +167,21 @@ void PrintOutcomeTable(const std::vector<ScenarioOutcome>& outcomes, std::ostrea
 
 std::vector<int64_t> LogCheckpoints(int64_t max_round, int per_decade) {
   std::vector<int64_t> points;
-  double factor = std::pow(10.0, 1.0 / per_decade);
-  double current = 10.0;
-  while (static_cast<int64_t>(current) < max_round) {
-    int64_t value = static_cast<int64_t>(current);
+  for (int k = 0;; ++k) {
+    int64_t value = std::llround(std::pow(10.0, 1.0 + static_cast<double>(k) / per_decade));
+    if (value >= max_round) break;
     if (points.empty() || value > points.back()) points.push_back(value);
-    current *= factor;
   }
   points.push_back(max_round);
   return points;
+}
+
+const RegretSeriesPoint* SeriesPointAt(const std::vector<RegretSeriesPoint>& series,
+                                       int64_t round) {
+  auto after = std::upper_bound(
+      series.begin(), series.end(), round,
+      [](int64_t r, const RegretSeriesPoint& point) { return r < point.round; });
+  return after == series.begin() ? nullptr : &*std::prev(after);
 }
 
 }  // namespace pdm::scenario

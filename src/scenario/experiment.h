@@ -15,9 +15,9 @@
 /// The experiment driver: lowers declarative `ScenarioSpec`s onto
 /// `SimulationJob`s, executes them on the thread-pooled `SimulationRunner`,
 /// and serializes the batch as one machine-readable `pdm.run.v1` JSON
-/// document. This is the engine behind `bench/pdm_run` and the thin
-/// spec-driven bench binaries; outcomes are bit-identical to hand-wiring the
-/// same (stream, engine, seed) by hand (DESIGN.md §4).
+/// document. This is the engine behind `bench/pdm_run` and its exhibit
+/// views; outcomes are bit-identical to hand-wiring the same (stream, engine,
+/// seed) by hand (DESIGN.md §4).
 
 namespace pdm::scenario {
 
@@ -52,8 +52,8 @@ class ExperimentDriver {
   std::vector<ScenarioOutcome> Run(const std::vector<ScenarioSpec>& specs);
 
   /// The factory holding the prepared workloads of every Run so far —
-  /// benches read offline-phase artifacts (test MSE, FTRL log-loss, θ*)
-  /// through it.
+  /// `pdm_run`'s exhibit views read offline-phase artifacts (test MSE, FTRL
+  /// log-loss, θ*) through it.
   const StreamFactory& factory() const { return factory_; }
 
   /// The spec actually executed for `spec` once the cap is applied.
@@ -90,8 +90,14 @@ void WriteRunJson(std::ostream& os, const RunMetadata& meta,
 void PrintOutcomeTable(const std::vector<ScenarioOutcome>& outcomes, std::ostream& os);
 
 /// Checkpoint rounds for figure-style series: `per_decade` log-spaced points
-/// per decade up to `max_round`, always including `max_round`.
+/// per decade from 10 up to `max_round`, always including `max_round`. Point
+/// k is round(10^(1 + k/per_decade)), so decades land exactly on 10^j.
 std::vector<int64_t> LogCheckpoints(int64_t max_round, int per_decade = 4);
+
+/// The last point of `series` (sorted by round) at or before `round`;
+/// nullptr when the series records nothing that early.
+const RegretSeriesPoint* SeriesPointAt(const std::vector<RegretSeriesPoint>& series,
+                                       int64_t round);
 
 }  // namespace pdm::scenario
 

@@ -15,11 +15,11 @@
 /// exhibit the repo reproduces by simulation — Fig. 4(a)–(f), Fig. 5(a)–(c),
 /// Table I, Theorem 3, the Lemma 8 adversary, the kernelized model, the
 /// cold-start study, and the δ/ε ablations, plus the throughput sweep — each
-/// with the exact dimensions, horizons, and seeds the dedicated bench
-/// binaries used, so `pdm_run --scenarios=fig4/*` reproduces the legacy
-/// outputs bit for bit. The per-exhibit builder functions are public so the
-/// thin bench binaries can rebuild their grid from command-line flags; the
-/// registry is those builders evaluated at the paper's defaults.
+/// with the exact dimensions, horizons, and seeds of the original hand-wired
+/// exhibits, so `pdm_run --scenarios=fig4/*` reproduces them bit for bit and
+/// renders the paper's view of them. The per-exhibit builder functions are
+/// public so tests can rebuild a grid at small scale; the registry is those
+/// builders evaluated at the paper's defaults.
 ///
 /// `Sweep` is the grid-expansion helper: it turns one base spec plus one
 /// axis into a family of named specs (`Sweep(base, "n", {2, 5, 10, 20, 50})`),
@@ -63,8 +63,7 @@ std::vector<ScenarioSpec> Sweep(const ScenarioSpec& base, const std::string& fie
 
 // ---------------------------------------------------------------------------
 // Exhibit builders (defaults = the paper's scale). The registry is the union
-// of these at their defaults; the thin bench binaries call them with flag
-// values instead.
+// of these at their defaults; tests call them at small scale.
 // ---------------------------------------------------------------------------
 
 /// Fig. 4(a)–(f): four variants × six (n, T) panels; `full=false` divides

@@ -71,7 +71,7 @@ struct KernelStreamParams {
   /// Offset keeping market values positive.
   double value_offset = 2.0;
   /// Price over the raw features instead of φ(x): the misspecification
-  /// study of bench_kernel_pricing (engine dim = input_dim, radius 4R).
+  /// study of the `kernel` exhibit (engine dim = input_dim, radius 4R).
   bool misspecified_linear = false;
 };
 

@@ -114,8 +114,9 @@ TEST(Integration, OneDimensionalMatchesPaperNarrative) {
 
 TEST(Integration, AccommodationRentalEndToEnd) {
   // n = 55 needs ≈2n(n+1)·ln(width/ε) ≈ 25k rounds of bisection under the
-  // honest ball prior (see bench_fig5b), so a short smoke run is assessed on
-  // sanity plus a tight-prior run that reaches the converged regime.
+  // honest ball prior (see pdm_run's fig5b view), so a short smoke run is
+  // assessed on sanity plus a tight-prior run that reaches the converged
+  // regime.
   AirbnbMarketConfig market_config;
   market_config.num_listings = 8000;
   market_config.log_reserve_ratio = 0.6;
@@ -134,7 +135,7 @@ TEST(Integration, AccommodationRentalEndToEnd) {
       // with a small uncertainty ball. The radius must put the initial width
       // along x (2R‖x‖ ≈ 0.04) within ~e of ε, else bisection's ~50%
       // rejection losses dominate regardless of how small the accepted-round
-      // losses are (see bench_fig5b header).
+      // losses are (see the fig5b view's note in bench/pdm_run.cc).
       base_config.initial_center = market.theta;
       base_config.initial_radius = 0.003;
     } else {

@@ -334,9 +334,9 @@ TEST(Validate, ReportsTheFirstProblem) {
 // ------------------------------------------------------- legacy equivalence
 //
 // The hand-wired constructions below replicate, line for line, what the
-// pre-refactor bench binaries did (bench_common.h's MakeLinearVariantEngine
-// + NoisyReplayStream + Rng(sim_seed), and bench_kernel_pricing's inline
-// wiring). The driver must reproduce them bit for bit.
+// original per-exhibit bench binaries did before the registry existed
+// (MakeLinearVariantEngine + NoisyReplayStream + Rng(sim_seed), and the
+// kernel bench's inline wiring). The driver must reproduce them bit for bit.
 
 struct LegacyVariant {
   const char* label;
@@ -474,7 +474,7 @@ TEST(ExperimentDriver, KernelScenarioMatchesLegacyWiringBitForBit) {
   ExperimentDriver driver;
   std::vector<ScenarioOutcome> outcomes = driver.Run({spec});
 
-  // bench_kernel_pricing's RunKernelEngine, verbatim.
+  // The original kernel bench's RunKernelEngine, verbatim.
   KernelMarketConfig config;
   Rng rng(9);
   KernelQueryStream stream(config, &rng);
@@ -503,7 +503,7 @@ TEST(ExperimentDriver, AdversarialScenarioMatchesLegacyWiringBitForBit) {
   std::vector<ScenarioOutcome> outcomes = driver.Run(specs);
 
   for (const ScenarioOutcome& outcome : outcomes) {
-    // bench_lemma8_adversarial's RunAdversary, verbatim.
+    // The original Lemma 8 bench's RunAdversary, verbatim.
     AdversarialStreamConfig stream_config;
     stream_config.dim = 2;
     stream_config.horizon = outcome.spec.rounds;
@@ -523,7 +523,62 @@ TEST(ExperimentDriver, AdversarialScenarioMatchesLegacyWiringBitForBit) {
   }
 }
 
+// Algorithm 2 / Eq. 6: with the engine buffer δ at or above the δ* the
+// market noise is calibrated to, no cut may exclude θ*. The engine is held
+// past the run, so the job lifecycle is wired by hand (one Rng drives stream
+// construction and the market loop, exactly as the runner does).
+TEST(AblationDelta, BufferAtLeastDeltaStarKeepsThetaInside) {
+  const double delta_star = 0.01;
+  std::vector<ScenarioSpec> specs = AblationDeltaScenarios(
+      /*dim=*/8, /*rounds=*/2000, /*owners=*/200, delta_star);
+  StreamFactory factory;
+  int checked = 0;
+  for (const ScenarioSpec& spec : specs) {
+    WorkloadInfo info = factory.Prepare(spec);
+    Rng rng(spec.sim_seed);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    std::unique_ptr<PricingEngine> engine = MechanismRegistry::Builtin().Build(spec, info);
+    SimulationOptions options;
+    options.rounds = spec.rounds;
+    SimulationResult result = RunMarket(stream.get(), engine.get(), options, &rng);
+    EXPECT_EQ(result.tracker.rounds(), spec.rounds);
+    if (spec.delta < delta_star) continue;
+    const auto& ellipsoid = dynamic_cast<const EllipsoidPricingEngine&>(*engine);
+    EXPECT_TRUE(
+        ellipsoid.knowledge_set().Contains(factory.FindLinearWorkload(spec)->theta, 1e-6))
+        << spec.name;
+    ++checked;
+  }
+  EXPECT_EQ(checked, 3);  // δ ∈ {δ*, 2δ*, 4δ*}
+}
+
 // --------------------------------------------------------------- the driver
+
+TEST(LogCheckpoints, LandsOnEveryDecadeWithoutDuplicates) {
+  EXPECT_EQ(LogCheckpoints(100), (std::vector<int64_t>{10, 18, 32, 56, 100}));
+  std::vector<int64_t> points = LogCheckpoints(100000);
+  EXPECT_NE(std::find(points.begin(), points.end(), 1000), points.end());
+  EXPECT_NE(std::find(points.begin(), points.end(), 10000), points.end());
+  ASSERT_GE(points.size(), 2u);
+  EXPECT_EQ(points[points.size() - 2], 56234);
+  EXPECT_EQ(points.back(), 100000);
+  EXPECT_TRUE(std::adjacent_find(points.begin(), points.end(),
+                                 [](int64_t a, int64_t b) { return a >= b; }) ==
+              points.end());
+}
+
+TEST(SeriesPointAt, ReturnsTheLastPointAtOrBeforeTheRound) {
+  std::vector<RegretSeriesPoint> series(3);
+  series[0].round = 100;
+  series[1].round = 200;
+  series[2].round = 300;
+  EXPECT_EQ(SeriesPointAt(series, 99), nullptr);   // before the first point
+  EXPECT_EQ(SeriesPointAt(series, 200), &series[1]);  // exactly on a point
+  EXPECT_EQ(SeriesPointAt(series, 250), &series[1]);  // between points
+  EXPECT_EQ(SeriesPointAt(series, 1000), &series[2]);  // past the last point
+  EXPECT_EQ(SeriesPointAt({}, 10), nullptr);
+}
+
 
 TEST(ExperimentDriver, OutcomeIsIndependentOfThreadCount) {
   std::vector<ScenarioSpec> specs = Fig5aScenarios(6, 800, 60, 0.01, 5);
