@@ -29,8 +29,8 @@ int main(int argc, char** argv) {
   pdm::FlagSet flags("bench_ablation_aggregation");
   flags.AddInt64("rounds", &rounds, "horizon T");
   flags.AddInt64("owners", &num_owners, "number of data owners");
-  flags.AddInt64("seed", reinterpret_cast<int64_t*>(&seed), "workload seed");
-  if (!flags.Parse(argc, argv)) return 1;
+  flags.AddUint64("seed", &seed, "workload seed");
+  if (!flags.Parse(argc, argv)) return flags.help_requested() ? 0 : 1;
 
   std::printf("=== Ablation: sorted-partition granularity n (Section II-B) ===\n\n");
   pdm::TablePrinter table(

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   flags.AddDouble("value", &value, "market value v of the query");
   flags.AddDouble("reserve", &reserve, "reserve price q of the query");
   flags.AddInt64("steps", &steps, "number of sweep points");
-  if (!flags.Parse(argc, argv)) return 1;
+  if (!flags.Parse(argc, argv)) return flags.help_requested() ? 0 : 1;
 
   std::printf("=== Fig. 1: single-round regret R(p), v = %.2f ===\n\n", value);
   pdm::TablePrinter table({"posted price p", "R(p) | q=" + pdm::FormatDouble(reserve, 2),

@@ -3,8 +3,8 @@
 // (setup, prefix) flags, drives pipelined PostPrice/Observe traffic at a
 // scheduled rate over N connections, and reports round-trip latency
 // quantiles measured from the *scheduled* send time (coordinated-omission
-// corrected). Emits the same `pdm.bench_serving.v1` document as
-// `bench_serving`, so one compare script gates both.
+// corrected). Emits the `pdm.bench_serving.v1` document that
+// `tools/compare_bench.py` gates against the committed BENCH_serving.json.
 //
 //   pdm_serve --port=7411 &            # must use the same product flags
 //   loadgen --port=7411 --connections=4 --rate=2000 --rounds=20000

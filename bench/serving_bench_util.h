@@ -17,8 +17,8 @@
 #include "server/client.h"
 
 /// \file
-/// Shared open-loop load-generation core for the TCP serving benches
-/// (`bench_serving`, `loadgen`) — DESIGN.md §10.
+/// Open-loop load-generation core of `loadgen`, the TCP serving bench —
+/// DESIGN.md §10.
 ///
 /// Each connection thread replays its product's precomputed query ring
 /// against a `pdm.wire.v1` server: per tick it pipelines `batch` PostPrice

@@ -66,7 +66,7 @@ class ExperimentDriver {
 
 /// Metadata header of a pdm.run.v1 document.
 struct RunMetadata {
-  /// Emitting binary ("pdm_run", "bench_throughput").
+  /// Emitting binary ("pdm_run" or "pdm_run --through_broker").
   std::string generator;
   /// The scenario selection that produced the batch (CLI globs).
   std::string selection;

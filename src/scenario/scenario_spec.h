@@ -50,7 +50,7 @@ struct LinearStreamParams {
   /// Data owners behind the broker.
   int num_owners = 2000;
   /// Distinct precomputed queries; the replay wraps around. 0 = one per
-  /// round (the figure benches' setup; the throughput bench uses 2048).
+  /// round (the figure benches' setup; the throughput family uses 2048).
   int64_t workload_rounds = 0;
   /// Market-value noise σ added at replay. < 0 derives the evaluation's
   /// default: σ = δ/(√(2·log 2)·log T) when the mechanism carries the

@@ -30,41 +30,14 @@ Stdlib only; no third-party dependencies.
 import argparse
 import json
 import sys
-import urllib.request
+
+import metrics_to_json
 
 COUNTERS = {
     "pdm_broker_quotes_total": "quotes",
     "pdm_broker_accepts_total": "accepts",
     "pdm_broker_rejects_total": "rejects",
 }
-
-
-def read_scrape(source):
-    if source == "-":
-        return sys.stdin.read()
-    if source.startswith("http://") or source.startswith("https://"):
-        try:
-            with urllib.request.urlopen(source, timeout=30) as response:
-                return response.read().decode("utf-8")
-        except OSError as err:
-            sys.exit(f"check_metrics: cannot fetch {source}: {err}")
-    try:
-        with open(source, "r", encoding="utf-8") as fp:
-            return fp.read()
-    except OSError as err:
-        sys.exit(f"check_metrics: cannot read {source}: {err}")
-
-
-def scrape_counter(text, name):
-    """The value of the unlabeled series `name`, or None when absent."""
-    for line in text.splitlines():
-        if line.startswith(name + " "):
-            token = line[len(name) + 1 :].split()[0]
-            try:
-                return int(float(token))
-            except ValueError:
-                sys.exit(f"check_metrics: bad value for {name}: {token!r}")
-    return None
 
 
 def load_serving(path):
@@ -90,7 +63,7 @@ def main():
     parser.add_argument("serving_json", help="pdm.bench_serving.v1 document")
     args = parser.parse_args()
 
-    text = read_scrape(args.scrape)
+    text = metrics_to_json.read_source(args.scrape)
     series = load_serving(args.serving_json)
 
     # Client-side tallies, summed across series rows. Rows missing the
@@ -112,7 +85,7 @@ def main():
     failures = []
     scraped = {}
     for counter, field in COUNTERS.items():
-        value = scrape_counter(text, counter)
+        value = metrics_to_json.scrape_counter(text, counter)
         if value is None:
             failures.append(
                 f"  {counter}: missing from the scrape — the server was not "
@@ -134,7 +107,7 @@ def main():
                 "issued tickets leaked without feedback"
             )
 
-    errors = scrape_counter(text, "pdm_server_protocol_errors_total")
+    errors = metrics_to_json.scrape_counter(text, "pdm_server_protocol_errors_total")
     if errors is None:
         failures.append("  pdm_server_protocol_errors_total: missing from the scrape")
     elif errors != 0:

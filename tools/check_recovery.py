@@ -34,7 +34,8 @@ import json
 import pathlib
 import re
 import sys
-import urllib.request
+
+import metrics_to_json
 
 MANIFEST_SCHEMA = "pdm.spill_manifest.v1"
 
@@ -71,33 +72,6 @@ def load_manifest(path):
     if not doc.get("files"):
         sys.exit(f"check_recovery: {path} fingerprints no spills")
     return doc
-
-
-def read_scrape(source):
-    if source == "-":
-        return sys.stdin.read()
-    if source.startswith("http://") or source.startswith("https://"):
-        try:
-            with urllib.request.urlopen(source, timeout=30) as response:
-                return response.read().decode("utf-8")
-        except OSError as err:
-            sys.exit(f"check_recovery: cannot fetch {source}: {err}")
-    try:
-        with open(source, "r", encoding="utf-8") as fp:
-            return fp.read()
-    except OSError as err:
-        sys.exit(f"check_recovery: cannot read {source}: {err}")
-
-
-def scrape_counter(text, name):
-    for line in text.splitlines():
-        if line.startswith(name + " "):
-            token = line[len(name) + 1 :].split()[0]
-            try:
-                return int(float(token))
-            except ValueError:
-                sys.exit(f"check_recovery: bad value for {name}: {token!r}")
-    return None
 
 
 def cmd_snapshot(args):
@@ -203,8 +177,10 @@ def cmd_verify_scrape(args):
                     "spill(s) the kill should have left intact"
                 )
 
-    text = read_scrape(args.scrape)
-    corruptions = scrape_counter(text, "pdm_broker_spill_corruptions_total")
+    text = metrics_to_json.read_source(args.scrape)
+    corruptions = metrics_to_json.scrape_counter(
+        text, "pdm_broker_spill_corruptions_total"
+    )
     if corruptions is None:
         failures.append(
             "  pdm_broker_spill_corruptions_total: missing from the scrape"

@@ -32,11 +32,21 @@ Stdlib only; no third-party dependencies.
 import argparse
 import json
 import math
+import pathlib
 import sys
 import urllib.request
 
 
+def exit_with(message):
+    """Exits 1 with `message` prefixed by the running script's name."""
+    sys.exit(f"{pathlib.Path(sys.argv[0]).stem}: {message}")
+
+
 def read_source(source):
+    """Text of a scrape: a file path, "-" for stdin, or an http(s):// URL.
+
+    check_metrics.py and check_recovery.py read their scrapes through this.
+    """
     if source == "-":
         return sys.stdin.read()
     if source.startswith("http://") or source.startswith("https://"):
@@ -44,12 +54,24 @@ def read_source(source):
             with urllib.request.urlopen(source, timeout=30) as response:
                 return response.read().decode("utf-8")
         except OSError as err:
-            sys.exit(f"metrics_to_json: cannot fetch {source}: {err}")
+            exit_with(f"cannot fetch {source}: {err}")
     try:
         with open(source, "r", encoding="utf-8") as fp:
             return fp.read()
     except OSError as err:
-        sys.exit(f"metrics_to_json: cannot read {source}: {err}")
+        exit_with(f"cannot read {source}: {err}")
+
+
+def scrape_counter(text, name):
+    """The value of the unlabeled series `name`, or None when absent."""
+    for line in text.splitlines():
+        if line.startswith(name + " "):
+            token = line[len(name) + 1 :].split()[0]
+            try:
+                return int(float(token))
+            except ValueError:
+                exit_with(f"bad value for {name}: {token!r}")
+    return None
 
 
 def unescape(text, quoted):
