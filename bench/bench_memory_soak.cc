@@ -4,23 +4,21 @@
 // actually costs — steady-state RSS per product, open/resolve latency, and
 // the fault-in tail when the LRU cold tier spills idle sessions to disk.
 //
-// Two series per run:
+// Two series per run, both with the one (packed) shape layout:
 //
-//   packed-cold     packed symmetric shapes + spill_dir + residency cap:
-//                   the §12 memory engine. Runs FIRST so its RSS delta is
-//                   measured against a clean heap (the dense series then
-//                   reuses whatever the teardown could not return to the
-//                   OS, which only *understates* the dense footprint — the
-//                   conservative direction for the savings gate).
-//   dense-resident  dense shapes, every session resident: the pre-§12
-//                   layout, and the savings-gate denominator.
+//   cold      spill_dir + residency cap: the §12 memory engine. Runs FIRST
+//             so its RSS delta is measured against a clean heap (the
+//             resident series then reuses whatever the teardown could not
+//             return to the OS, which only *understates* the resident
+//             footprint — the conservative direction for the savings gate).
+//   resident  every session resident: the savings-gate denominator.
 //
 // Emits BENCH_memory.json (schema pdm.bench_memory.v1). The repository
 // commits a baseline at the repo root; CI re-runs in smoke mode and
 // `tools/compare_bench.py` applies its pdm.bench_memory.v1 rule-table rows:
 // it fails the build when bytes/product or a latency quantile regresses
 // beyond tolerance, a fault-in histogram stops recording, touches error, or
-// the packed-vs-dense savings fall below 35% (README "Memory & scale").
+// the cold-vs-resident savings fall below 35% (README "Memory & scale").
 //
 //   bench_memory_soak                       # full run (100k products)
 //   bench_memory_soak --smoke               # CI mode (100k products, short touch phase)
@@ -69,7 +67,6 @@ struct SoakConfig {
 
 struct SeriesResult {
   std::string name;
-  bool packed = false;
   size_t resident_cap = 0;  ///< 0 = no cold tier
   int64_t rss_base = 0;
   int64_t rss_after_open = 0;
@@ -110,7 +107,7 @@ uint64_t NowNanos() {
 /// One shared workload spec for the whole fleet: every product prices the
 /// same query distribution, so the fleet's memory is session state, not
 /// duplicated workloads.
-pdm::scenario::ScenarioSpec FleetSpec(const SoakConfig& config, bool packed) {
+pdm::scenario::ScenarioSpec FleetSpec(const SoakConfig& config) {
   pdm::scenario::ScenarioSpec spec;
   spec.name = "soak/base";
   spec.family = "memory-soak";
@@ -123,7 +120,6 @@ pdm::scenario::ScenarioSpec FleetSpec(const SoakConfig& config, bool packed) {
   spec.linear.workload_rounds = 1024;
   spec.workload_seed = config.seed;
   spec.sim_seed = config.seed + 7;
-  spec.packed_shape = packed;
   return spec;
 }
 
@@ -153,17 +149,16 @@ class ZipfSampler {
 };
 
 SeriesResult RunSeries(const SoakConfig& config, const std::string& name,
-                       bool packed, size_t resident_cap,
+                       size_t resident_cap,
                        const std::string& spill_dir,
                        const std::vector<pdm::MarketRound>& ring,
                        const ZipfSampler& zipf) {
   SeriesResult result;
   result.name = name;
-  result.packed = packed;
   result.resident_cap = resident_cap;
 
   pdm::scenario::StreamFactory factory;
-  pdm::scenario::ScenarioSpec spec = FleetSpec(config, packed);
+  pdm::scenario::ScenarioSpec spec = FleetSpec(config);
   pdm::scenario::WorkloadInfo info = factory.Prepare(spec);
 
   pdm::broker::BrokerConfig broker_config;
@@ -286,7 +281,6 @@ void WriteSeriesJson(pdm::JsonWriter* json, const SoakConfig& config,
                      const SeriesResult& series) {
   json->BeginObject();
   json->Field("series", series.name);
-  json->Field("packed", series.packed);
   json->Field("resident_cap", static_cast<int64_t>(series.resident_cap));
   json->Field("open_seconds", series.open_seconds);
   json->Field("touch_errors", series.touch_errors);
@@ -406,7 +400,7 @@ int main(int argc, char** argv) {
   std::vector<pdm::MarketRound> ring;
   {
     pdm::scenario::StreamFactory factory;
-    pdm::scenario::ScenarioSpec spec = FleetSpec(config, /*packed=*/false);
+    pdm::scenario::ScenarioSpec spec = FleetSpec(config);
     (void)factory.Prepare(spec);
     pdm::Rng rng(spec.sim_seed);
     std::unique_ptr<pdm::QueryStream> stream = factory.CreateStream(spec, &rng);
@@ -416,20 +410,19 @@ int main(int argc, char** argv) {
   ZipfSampler zipf(config.products, config.zipf_s);
 
   std::vector<SeriesResult> series;
-  series.push_back(RunSeries(config, "packed-cold", /*packed=*/true,
-                             resident_cap, spill_dir, ring, zipf));
+  series.push_back(RunSeries(config, "cold", resident_cap, spill_dir, ring, zipf));
   PrintSeries(config, series.back());
-  series.push_back(RunSeries(config, "dense-resident", /*packed=*/false,
-                             /*resident_cap=*/0, spill_dir, ring, zipf));
+  series.push_back(
+      RunSeries(config, "resident", /*resident_cap=*/0, spill_dir, ring, zipf));
   PrintSeries(config, series.back());
   std::filesystem::remove_all(spill_dir);
 
-  double dense = series[1].bytes_per_product(config.products);
-  double packed = series[0].bytes_per_product(config.products);
-  if (dense > 0.0) {
-    std::printf("steady-state bytes/product: dense %.0f -> packed+cold %.0f "
+  double resident = series[1].bytes_per_product(config.products);
+  double cold = series[0].bytes_per_product(config.products);
+  if (resident > 0.0) {
+    std::printf("steady-state bytes/product: resident %.0f -> cold %.0f "
                 "(%.1f%% lower)\n",
-                dense, packed, 100.0 * (1.0 - packed / dense));
+                resident, cold, 100.0 * (1.0 - cold / resident));
   }
 
   for (const SeriesResult& s : series) {

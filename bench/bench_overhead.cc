@@ -106,7 +106,9 @@ void BM_OneDimensionalRound(benchmark::State& state) {
 }
 BENCHMARK(BM_OneDimensionalRound)->Unit(benchmark::kNanosecond);
 
-/// Raw ellipsoid cut update (the O(n²) kernel inside Observe).
+/// Raw ellipsoid cut (the O(n²) kernels inside Observe): each CutKeep* runs
+/// one packed mat-vec for the support direction and one packed rank-1
+/// update over the n(n+1)/2 stored shape entries (DESIGN.md §11/§12).
 void BM_EllipsoidCut(benchmark::State& state) {
   int dim = static_cast<int>(state.range(0));
   pdm::Rng rng(3);

@@ -628,7 +628,7 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
       TicketBaseForIndex(index));
   // Restore is bit-exact: the snapshot carries raw IEEE-754 bit patterns,
   // and the rebuilt engine restores the knowledge set, counters,
-  // symmetrization phase, and every outstanding ticket (same ticket base —
+  // cut phase, and every outstanding ticket (same ticket base —
   // the slot never moved), so the resumed session is indistinguishable from
   // one that was never evicted (pinned in tests/broker_test.cc).
   Status restored = session->Restore(snapshot);

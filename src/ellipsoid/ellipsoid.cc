@@ -7,33 +7,16 @@
 
 namespace pdm {
 
-Ellipsoid::Ellipsoid(Vector center, Matrix shape)
-    : center_(std::move(center)), shape_(std::move(shape)) {
-  PDM_CHECK(shape_.rows() == shape_.cols());
-  PDM_CHECK(static_cast<int>(center_.size()) == shape_.rows());
-  PDM_CHECK(dim() >= 2);
-}
-
 Ellipsoid::Ellipsoid(Vector center, PackedSymMatrix shape)
-    : center_(std::move(center)),
-      shape_(0, 0),
-      packed_shape_(std::move(shape)),
-      packed_mode_(true) {
-  PDM_CHECK(static_cast<int>(center_.size()) == packed_shape_.dim());
+    : center_(std::move(center)), shape_(std::move(shape)) {
+  PDM_CHECK(static_cast<int>(center_.size()) == shape_.dim());
   PDM_CHECK(dim() >= 2);
 }
 
-Ellipsoid Ellipsoid::FromSnapshotState(Vector center, Matrix shape,
-                                       int cuts_since_symmetrize, bool packed) {
+Ellipsoid Ellipsoid::FromSnapshotState(Vector center, const Matrix& shape,
+                                       int cuts_since_symmetrize) {
   PDM_CHECK(cuts_since_symmetrize >= 0 && cuts_since_symmetrize < 32);
-  if (packed) {
-    // Exact re-pack: the upper triangle of the serialized dense shape is the
-    // packed state that produced it (DenseShape mirrors, never averages).
-    Ellipsoid out(std::move(center), PackedSymMatrix::FromDense(shape));
-    out.cuts_since_symmetrize_ = cuts_since_symmetrize;
-    return out;
-  }
-  Ellipsoid out(std::move(center), std::move(shape));
+  Ellipsoid out(std::move(center), PackedSymMatrix::FromDense(shape));
   out.cuts_since_symmetrize_ = cuts_since_symmetrize;
   return out;
 }
@@ -41,21 +24,7 @@ Ellipsoid Ellipsoid::FromSnapshotState(Vector center, Matrix shape,
 Ellipsoid Ellipsoid::Ball(int dim, double radius) {
   PDM_CHECK(dim >= 2);
   PDM_CHECK(radius > 0.0);
-  return Ellipsoid(Zeros(dim), Matrix::ScaledIdentity(dim, radius * radius));
-}
-
-Ellipsoid Ellipsoid::PackedBall(int dim, double radius) {
-  PDM_CHECK(dim >= 2);
-  PDM_CHECK(radius > 0.0);
   return Ellipsoid(Zeros(dim), PackedSymMatrix::ScaledIdentity(dim, radius * radius));
-}
-
-Matrix Ellipsoid::DenseShape() const {
-  return packed_mode_ ? packed_shape_.ToDense() : shape_;
-}
-
-double Ellipsoid::ShapeQuadraticForm(const Vector& x) const {
-  return packed_mode_ ? packed_shape_.QuadraticForm(x) : shape_.QuadraticForm(x);
 }
 
 SupportInterval Ellipsoid::Support(const Vector& x) const {
@@ -71,11 +40,7 @@ void Ellipsoid::Support(const Vector& x, SupportInterval* out) const {
   out->midpoint = Dot(x, center_);
   // One O(n²) pass computes both A·x (the support direction) and xᵀAx; the
   // caller's direction buffer is reused as the A·x target.
-  if (packed_mode_) {
-    packed_shape_.MatVecInto(x, &out->direction);
-  } else {
-    shape_.MatVecInto(x, &out->direction);
-  }
+  shape_.MatVecInto(x, &out->direction);
   double quad = Dot(x, out->direction);
   if (quad <= 0.0 || !std::isfinite(quad)) {
     // Collapsed (or numerically indefinite) direction: the probe width is
@@ -100,11 +65,7 @@ void Ellipsoid::SupportBatch(const double* panel, int k, SupportInterval* out) c
   // capacity, so the workspace reaches a steady high-water mark and stops
   // allocating.
   batch_panel_ws_.resize(static_cast<size_t>(k) * static_cast<size_t>(n));
-  if (packed_mode_) {
-    packed_shape_.MatPanelInto(panel, k, batch_panel_ws_.data());
-  } else {
-    shape_.MatPanelInto(panel, k, batch_panel_ws_.data());
-  }
+  shape_.MatPanelInto(panel, k, batch_panel_ws_.data());
   for (int j = 0; j < k; ++j) {
     const double* x = panel + static_cast<size_t>(j) * n;
     const double* ax = batch_panel_ws_.data() + static_cast<size_t>(j) * n;
@@ -158,19 +119,8 @@ void Ellipsoid::Cut(const Vector& ax, double half_width, double alpha, double si
   // factor · (A − (coef/half_width²) · ax·axᵀ), and c ← c − sign·step·b
   // becomes c − (sign·step/half_width)·ax — the normalized direction is
   // never materialized.
-  if (packed_mode_) {
-    packed_shape_.FusedScaleRankOne(factor, coef / (half_width * half_width), ax);
-    // Packed storage is symmetric by construction — nothing to re-average —
-    // but the counter keeps the dense schedule so snapshots stay
-    // mode-agnostic (and so the dense/packed control flow never diverges).
-    if (++cuts_since_symmetrize_ >= 32) cuts_since_symmetrize_ = 0;
-  } else {
-    shape_.FusedScaleRankOne(factor, coef / (half_width * half_width), ax);
-    if (++cuts_since_symmetrize_ >= 32) {
-      shape_.Symmetrize();
-      cuts_since_symmetrize_ = 0;
-    }
-  }
+  shape_.FusedScaleRankOne(factor, coef / (half_width * half_width), ax);
+  if (++cuts_since_symmetrize_ >= 32) cuts_since_symmetrize_ = 0;
   AxpyInPlace(-sign * step / half_width, ax, &center_);
 }
 
@@ -199,7 +149,7 @@ void Ellipsoid::CutKeepAbove(const SupportInterval& support, double alpha) {
 bool Ellipsoid::Contains(const Vector& theta, double tol) const {
   PDM_CHECK(static_cast<int>(theta.size()) == dim());
   Vector diff = Sub(theta, center_);
-  // Diagnostics are O(n³) already; packed mode materializes a dense copy.
+  // Diagnostics are O(n³) already; the Cholesky factor takes a dense copy.
   Matrix dense = DenseShape();
   Matrix l(0, 0);
   if (!CholeskyFactor(dense, &l)) return false;
@@ -231,24 +181,16 @@ bool Ellipsoid::LooksHealthy() const {
   for (double v : center_) {
     if (!std::isfinite(v)) return false;
   }
-  if (packed_mode_) {
-    // Asymmetry is structurally zero; check finiteness of the whole packed
-    // triangle and positivity of the diagonal.
-    for (int r = 0; r < packed_shape_.dim(); ++r) {
-      if (packed_shape_.At(r, r) <= 0.0 || !std::isfinite(packed_shape_.At(r, r))) {
-        return false;
-      }
-      for (int c = r + 1; c < packed_shape_.dim(); ++c) {
-        if (!std::isfinite(packed_shape_.At(r, c))) return false;
-      }
+  // Asymmetry is structurally zero; check the whole packed triangle is
+  // finite and the diagonal positive.
+  const int n = shape_.dim();
+  for (int r = 0; r < n; ++r) {
+    if (shape_.At(r, r) <= 0.0 || !std::isfinite(shape_.At(r, r))) return false;
+    for (int c = r + 1; c < n; ++c) {
+      if (!std::isfinite(shape_.At(r, c))) return false;
     }
-    return true;
   }
-  for (int r = 0; r < shape_.rows(); ++r) {
-    if (shape_(r, r) <= 0.0 || !std::isfinite(shape_(r, r))) return false;
-  }
-  double scale = std::max(1.0, shape_.FrobeniusNorm());
-  return shape_.MaxAsymmetry() <= 1e-8 * scale;
+  return true;
 }
 
 }  // namespace pdm

@@ -44,51 +44,27 @@ struct SupportInterval {
 
 class Ellipsoid {
  public:
-  /// Constructs from a center and an SPD shape matrix (dimension ≥ 2).
-  Ellipsoid(Vector center, Matrix shape);
-
-  /// Packed-storage mode (DESIGN.md §12): the shape matrix lives as its
-  /// upper triangle only — n(n+1)/2 doubles instead of n², halving the
-  /// dominant per-product state at serving scale. Semantically the same
-  /// knowledge set; numerically a *documented-tolerance* twin of the dense
-  /// mode (the packed mat-vec reduces in a different order, and packed
-  /// storage — symmetric by construction — has no asymmetry drift for the
-  /// 32-cut re-symmetrization to average away). Within packed mode every
-  /// operation keeps the repo's determinism contracts: SupportBatch is
-  /// bit-identical per query to Support, and save → restore resumes
-  /// bit-identically.
+  /// Constructs from a center and an SPD shape matrix (dimension ≥ 2). The
+  /// shape is stored packed — its upper triangle, n(n+1)/2 doubles — which
+  /// is the one resident layout (DESIGN.md §12): half the bytes of a dense
+  /// n×n copy and symmetric by construction, so no cut sequence can drift
+  /// it asymmetric.
   Ellipsoid(Vector center, PackedSymMatrix shape);
 
   /// Origin-centered ball of the given radius: A = R²·I (Algorithm 1 input).
   static Ellipsoid Ball(int dim, double radius);
 
-  /// Packed-storage ball (see the packed constructor).
-  static Ellipsoid PackedBall(int dim, double radius);
-
   int dim() const { return static_cast<int>(center_.size()); }
   const Vector& center() const { return center_; }
-  /// Dense-mode shape accessor; misuse in packed mode is a programming
-  /// error (PDM_CHECK). Mode-agnostic callers use DenseShape().
-  const Matrix& shape() const {
-    PDM_CHECK(!packed_mode_);
-    return shape_;
-  }
-  /// True when the shape matrix is stored packed.
-  bool packed() const { return packed_mode_; }
-  /// Packed-mode shape accessor (PDM_CHECKs in dense mode).
-  const PackedSymMatrix& packed_shape() const {
-    PDM_CHECK(packed_mode_);
-    return packed_shape_;
-  }
-  /// The shape matrix as a dense copy in either mode. In packed mode the
-  /// mirror is exact (both triangles are the same stored doubles), so
-  /// packed → dense → packed round trips bit-identically — the property the
-  /// snapshot codec leans on (`pdm.snap.v1` stores shapes dense; a packed
-  /// engine re-encodes byte-exactly, DESIGN.md §12).
-  Matrix DenseShape() const;
-  /// xᵀ·A·x without materializing A·x, in either storage mode
-  /// (allocation-free; the EstimateValueInterval path).
-  double ShapeQuadraticForm(const Vector& x) const;
+  const PackedSymMatrix& shape() const { return shape_; }
+  /// The shape matrix mirrored into a dense copy. Exact (both triangles are
+  /// the same stored doubles), so packed → dense → packed round trips
+  /// bit-identically — the property the snapshot codec leans on
+  /// (`pdm.snap.v1/v2` store shapes dense, DESIGN.md §12).
+  Matrix DenseShape() const { return shape_.ToDense(); }
+  /// xᵀ·A·x without materializing A·x (allocation-free; the
+  /// EstimateValueInterval path).
+  double ShapeQuadraticForm(const Vector& x) const { return shape_.QuadraticForm(x); }
 
   /// Computes [p̲, p̄] along x (Lines 5–7 of Algorithm 1). If the quadratic
   /// form underflows to ≤ 0 (a numerically collapsed direction), the interval
@@ -105,8 +81,8 @@ class Ellipsoid {
   /// panel + j·dim()), `out[0..k)` receive exactly what k sequential
   /// Support(x_j, &out[j]) calls would produce — BIT-IDENTICAL per query,
   /// because the matrix–panel pass keeps each query's reduction order equal
-  /// to the mat-vec pass (Matrix::MatPanelInto) and the midpoint/quadratic
-  /// dots run the same kernel. One streamed O(k·n²) pass over A replaces k
+  /// to the mat-vec pass (PackedSymMatrix::MatPanelInto) and the
+  /// midpoint/quadratic dots run the same kernel. One streamed O(k·n²) pass over A replaces k
   /// cold O(n²) passes (DESIGN.md §11). The A·X workspace panel is a mutable
   /// member reused across calls (steady-state calls allocate nothing once
   /// out[j].direction buffers reach capacity), which also means concurrent
@@ -147,23 +123,23 @@ class Ellipsoid {
   /// Widths 2√γᵢ(A) of all axes, descending (Definition 1 discussion).
   Vector AxisWidths() const;
 
-  /// Numerical health checks: symmetric, finite, positive diagonal.
+  /// Numerical health checks: finite center and shape, positive diagonal.
   bool LooksHealthy() const;
 
-  /// Cuts applied since the last drift-control re-symmetrization. Part of
-  /// the serialized engine state: restoring it keeps a resumed cut sequence
-  /// bit-identical to an uninterrupted one (the re-symmetrization would
-  /// otherwise fire at different cut counts and perturb low-order bits).
+  /// Cut count mod 32. The snapshot format (`pdm.snap.v1/v2`) has carried
+  /// this field since shapes were stored dense and re-symmetrized every 32
+  /// cuts; packed storage needs no such pass, but the counter still
+  /// advances and restores so snapshot bytes keep their meaning and a
+  /// restored blob re-encodes byte-exactly.
   int cuts_since_symmetrize() const { return cuts_since_symmetrize_; }
 
   /// Rebuilds an ellipsoid from serialized state (broker session snapshots,
-  /// DESIGN.md §9). `cuts_since_symmetrize` must be in [0, 32). With
-  /// `packed` the dense snapshot shape is re-packed to its upper triangle
-  /// (exact — see DenseShape); the snapshot byte format itself is
-  /// storage-mode-agnostic.
-  static Ellipsoid FromSnapshotState(Vector center, Matrix shape,
-                                     int cuts_since_symmetrize,
-                                     bool packed = false);
+  /// DESIGN.md §9): packs the upper triangle of the dense snapshot shape
+  /// (exact for a shape this class wrote — see DenseShape; a lower triangle
+  /// that differs, as in blobs of the dense-storage era, is ignored).
+  /// `cuts_since_symmetrize` must be in [0, 32).
+  static Ellipsoid FromSnapshotState(Vector center, const Matrix& shape,
+                                     int cuts_since_symmetrize);
 
  private:
   /// Shared implementation: `sign` +1 keeps below (rejection), −1 keeps
@@ -173,17 +149,7 @@ class Ellipsoid {
   void Cut(const Vector& ax, double half_width, double alpha, double sign);
 
   Vector center_;
-  /// Dense storage (empty 0×0 in packed mode).
-  Matrix shape_;
-  /// Packed storage (empty in dense mode). Exactly one of shape_ /
-  /// packed_shape_ is populated, selected by packed_mode_.
-  PackedSymMatrix packed_shape_;
-  bool packed_mode_ = false;
-  /// Cuts since the last explicit symmetrization (floating-point drift in
-  /// the fused update is ~1 ulp per cut; re-symmetrizing every few dozen
-  /// cuts keeps it far below tolerance without paying O(n²) every round).
-  /// Packed mode has no drift to control, but the counter advances (and
-  /// resets) on the same schedule so serialized state stays mode-agnostic.
+  PackedSymMatrix shape_;
   int cuts_since_symmetrize_ = 0;
   /// SupportBatch's A·X target panel, reused across calls (grow-only) so the
   /// batched hot path stays allocation-free in steady state. Mutable scratch,

@@ -8,10 +8,7 @@ namespace pdm {
 namespace {
 
 /// One row·vector dot with a reassociated 4-accumulator stride-4 reduction
-/// (see vector_ops.cc's DotKernel for the rationale), shared by the mat-vec
-/// and matrix–panel kernels below so "bit-identical per query" is structural:
-/// both inline literally this op sequence. Must stay inline-only — a separate
-/// compiled copy could be specialized differently per call site.
+/// (see vector_ops.cc's DotKernel for the rationale).
 inline double RowDot(const double* __restrict row, const double* __restrict x,
                      int cols) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
@@ -33,62 +30,6 @@ void MatVecKernel(const double* __restrict data, int rows, int cols,
                   const double* __restrict x, double* __restrict y) {
   for (int r = 0; r < rows; ++r) {
     y[r] = RowDot(data + static_cast<size_t>(r) * cols, x, cols);
-  }
-}
-
-/// Matrix–panel kernel: Y ← A·X for a query-major packed panel of k vectors,
-/// blocked 4 queries wide so each A row is touched four times back to back —
-/// one pass over A per block instead of one per query, which keeps the row
-/// in L1 (and, once A outgrows L1, turns k memory sweeps into k/4). Each
-/// query's dot is RowDot itself, so every output column is bit-identical to
-/// a standalone MatVecKernel pass by construction. Remainder queries
-/// (k mod 4) run through MatVecKernel.
-///
-/// Deliberately NOT a fully fused inner loop: a version that interleaved the
-/// four queries' accumulator arrays inside one c-loop defeated GCC's SLP
-/// vectorizer (it serialized the reductions through scalar adds plus lane
-/// shuffles, ~3× slower than this shape at n ≥ 20). Four sequential RowDot
-/// calls vectorize exactly like the mat-vec path while still amortizing the
-/// row traffic. The identity additionally requires that the compiler not
-/// contract mul+add into FMA differently per call site, so this layer builds
-/// with -ffp-contract=off (CMakeLists.txt).
-PDM_TARGET_CLONES
-void MatPanelKernel(const double* __restrict data, int rows, int cols,
-                    const double* __restrict panel, int k, double* __restrict y) {
-  int j = 0;
-  for (; j + 4 <= k; j += 4) {
-    const double* __restrict x0 = panel + static_cast<size_t>(j) * cols;
-    const double* __restrict x1 = panel + static_cast<size_t>(j + 1) * cols;
-    const double* __restrict x2 = panel + static_cast<size_t>(j + 2) * cols;
-    const double* __restrict x3 = panel + static_cast<size_t>(j + 3) * cols;
-    double* __restrict y0 = y + static_cast<size_t>(j) * rows;
-    double* __restrict y1 = y + static_cast<size_t>(j + 1) * rows;
-    double* __restrict y2 = y + static_cast<size_t>(j + 2) * rows;
-    double* __restrict y3 = y + static_cast<size_t>(j + 3) * rows;
-    for (int r = 0; r < rows; ++r) {
-      const double* __restrict row = data + static_cast<size_t>(r) * cols;
-      y0[r] = RowDot(row, x0, cols);
-      y1[r] = RowDot(row, x1, cols);
-      y2[r] = RowDot(row, x2, cols);
-      y3[r] = RowDot(row, x3, cols);
-    }
-  }
-  for (; j < k; ++j) {
-    MatVecKernel(data, rows, cols, panel + static_cast<size_t>(j) * cols,
-                 y + static_cast<size_t>(j) * rows);
-  }
-}
-
-/// A ← factor·(A − coef·b·bᵀ), elementwise — the fused Löwner–John update.
-PDM_TARGET_CLONES
-void FusedScaleRankOneKernel(double* __restrict data, int n, double factor,
-                             double coef, const double* __restrict b) {
-  for (int r = 0; r < n; ++r) {
-    double* __restrict row = data + static_cast<size_t>(r) * n;
-    double cr = coef * b[r];
-    for (int c = 0; c < n; ++c) {
-      row[c] = factor * (row[c] - cr * b[c]);
-    }
   }
 }
 
@@ -132,13 +73,6 @@ void Matrix::MatVecInto(const Vector& x, Vector* y) const {
   MatVecKernel(data_.data(), rows_, cols_, x.data(), y->data());
 }
 
-void Matrix::MatPanelInto(const double* panel, int k, double* y) const {
-  PDM_CHECK(k >= 0);
-  if (k == 0) return;
-  PDM_CHECK(panel != nullptr && y != nullptr);
-  MatPanelKernel(data_.data(), rows_, cols_, panel, k, y);
-}
-
 Vector Matrix::MatTVec(const Vector& x) const {
   Vector y;
   MatTVecInto(x, &y);
@@ -154,25 +88,6 @@ void Matrix::MatTVecInto(const Vector& x, Vector* y) const {
     double xr = x[static_cast<size_t>(r)];
     for (int c = 0; c < cols_; ++c) (*y)[static_cast<size_t>(c)] += row[c] * xr;
   }
-}
-
-double Matrix::QuadraticForm(const Vector& x) const {
-  PDM_CHECK(rows_ == cols_);
-  PDM_CHECK(static_cast<int>(x.size()) == cols_);
-  double acc = 0.0;
-  for (int r = 0; r < rows_; ++r) {
-    const double* row = data_.data() + static_cast<size_t>(r) * cols_;
-    double partial = 0.0;
-    for (int c = 0; c < cols_; ++c) partial += row[c] * x[static_cast<size_t>(c)];
-    acc += partial * x[static_cast<size_t>(r)];
-  }
-  return acc;
-}
-
-void Matrix::FusedScaleRankOne(double factor, double coef, const Vector& b) {
-  PDM_CHECK(rows_ == cols_);
-  PDM_CHECK(static_cast<int>(b.size()) == cols_);
-  FusedScaleRankOneKernel(data_.data(), rows_, factor, coef, b.data());
 }
 
 void Matrix::AddRankOne(double s, const Vector& b) {
@@ -198,17 +113,6 @@ void Matrix::Symmetrize() {
       (*this)(c, r) = avg;
     }
   }
-}
-
-double Matrix::MaxAsymmetry() const {
-  PDM_CHECK(rows_ == cols_);
-  double worst = 0.0;
-  for (int r = 0; r < rows_; ++r) {
-    for (int c = r + 1; c < cols_; ++c) {
-      worst = std::max(worst, std::fabs((*this)(r, c) - (*this)(c, r)));
-    }
-  }
-  return worst;
 }
 
 double Matrix::Trace() const {

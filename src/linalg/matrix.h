@@ -7,9 +7,9 @@
 #include "linalg/vector_ops.h"
 
 /// \file
-/// Dense row-major matrix. The ellipsoid engine stores the shape matrix A
-/// here; the hot operations are MatVec and the symmetric rank-1 update of the
-/// Löwner–John cut formulas, both O(n²) with contiguous inner loops.
+/// Dense row-major matrix for the offline substrate (PCA, least squares,
+/// Cholesky, Jacobi eigen) and the snapshot codec's shape exchange format.
+/// The ellipsoid shape matrix itself lives packed (linalg/packed_sym_matrix.h).
 
 namespace pdm {
 
@@ -45,21 +45,8 @@ class Matrix {
   Vector MatVec(const Vector& x) const;
 
   /// y ← A·x into a caller-owned buffer (resized to rows(); steady-state
-  /// reuse performs no allocation). `x` must not alias `*y`. This is the
-  /// per-round hot kernel of the ellipsoid support computation.
+  /// reuse performs no allocation). `x` must not alias `*y`.
   void MatVecInto(const Vector& x, Vector* y) const;
-
-  /// Y ← A·X for a packed panel of k query vectors: one streamed pass over A
-  /// instead of k mat-vec passes. `panel` is query-major — query j occupies
-  /// panel[j·cols() .. j·cols()+cols()) — and `y` is filled query-major the
-  /// same way: y[j·rows() + r] = (A·x_j)[r], so y must hold k·rows() doubles.
-  /// Per query the inner reduction uses exactly MatVecInto's association
-  /// order, so each output column is BIT-IDENTICAL to a standalone MatVecInto
-  /// call on that query; the kernel only interleaves the independent per-query
-  /// dependency chains (register-blocked 4 queries wide) so each A row is
-  /// loaded once per block instead of once per query. `panel` must not alias
-  /// `y`. This is the batched-quote hot kernel (DESIGN.md §11).
-  void MatPanelInto(const double* panel, int k, double* y) const;
 
   /// y = Aᵀ·x.
   Vector MatTVec(const Vector& x) const;
@@ -67,25 +54,14 @@ class Matrix {
   /// y ← Aᵀ·x with the MatVecInto reuse/aliasing contract.
   void MatTVecInto(const Vector& x, Vector* y) const;
 
-  /// Quadratic form xᵀ·A·x (square matrices only).
-  double QuadraticForm(const Vector& x) const;
-
-  /// A ← A + s·b·bᵀ (square matrices only). This is the rank-1 modification
-  /// pattern of the ellipsoid cut update (Lines 17/21 of Algorithm 1).
+  /// A ← A + s·b·bᵀ (square matrices only): Gram/covariance accumulation.
   void AddRankOne(double s, const Vector& b);
-
-  /// A ← factor·(A − coef·b·bᵀ) in a single pass — the fused Löwner–John cut
-  /// update, the per-round O(n²) hot path of the pricing engine.
-  void FusedScaleRankOne(double factor, double coef, const Vector& b);
 
   /// A ← s·A.
   void Scale(double s);
 
-  /// A ← (A + Aᵀ)/2; applied after every cut to stop asymmetry drift.
+  /// A ← (A + Aᵀ)/2.
   void Symmetrize();
-
-  /// Largest |A_ij − A_ji| (diagnostic).
-  double MaxAsymmetry() const;
 
   /// Sum of diagonal entries (square matrices only).
   double Trace() const;

@@ -11,30 +11,30 @@
 /// \file
 /// Packed symmetric matrix: the upper triangle of an n×n symmetric matrix
 /// stored row-major in n(n+1)/2 doubles — row r holds entries (r,r)..(r,n-1)
-/// contiguously. This halves the bytes of the ellipsoid shape matrix A, which
-/// dominates per-product session state at serving scale (DESIGN.md §12).
+/// contiguously. This is the one resident layout of the ellipsoid shape
+/// matrix A, which dominates per-product session state at serving scale
+/// (DESIGN.md §12): half the bytes of a dense n×n copy.
 ///
 /// The storage is symmetric *by construction*: there is no lower triangle to
-/// drift out of sync, so the fused cut update needs no periodic
-/// re-symmetrization pass (the dense `Matrix` re-symmetrizes every 32 cuts to
-/// bound 1-ulp-per-cut drift; packed storage has nothing to average).
+/// drift out of sync, so the fused cut update needs no re-symmetrization.
+///
+/// Speed: the mat-vec walks four packed rows per pass over their shared
+/// columns with 4-lane vector accumulators and a fused mirror scatter
+/// (DESIGN.md §11), so it reads A once and runs at or below the cost of a
+/// dense row-dot mat-vec over n² doubles.
 ///
 /// Determinism contract: every kernel here is a fixed source-level FP op
 /// sequence (the linalg layer builds with -ffp-contract=off), and
 /// `MatPanelInto` runs each query through exactly `MatVecInto`'s op order, so
-/// each panel column is BIT-IDENTICAL to a standalone mat-vec on that query —
-/// the same contract the dense panel kernel gives (DESIGN.md §11). Against
-/// the *dense* kernels the packed mat-vec is only tolerance-equal: a packed
-/// traversal visits each off-diagonal entry once (gather + scatter) where the
-/// dense row pass visits its two mirror copies, so the reduction order
-/// differs and low-order bits may too (documented pin:
-/// tests/linalg_test.cc).
+/// each panel column is BIT-IDENTICAL to a standalone mat-vec on that query.
+/// Against exact arithmetic the mat-vec and quadratic form are pinned within
+/// a few ulps of the result scale (tests/linalg_test.cc).
 
 namespace pdm {
 
 class PackedSymMatrix {
  public:
-  /// Empty 0×0 matrix (the "no packed storage" state).
+  /// Empty 0×0 matrix.
   PackedSymMatrix() : n_(0) {}
 
   /// n×n zeros in packed form.
@@ -71,26 +71,23 @@ class PackedSymMatrix {
   const double* data() const { return data_.data(); }
 
   /// y ← A·x (resizing y to n; steady-state reuse performs no allocation).
-  /// `x` must not alias `*y`. Deterministic fixed op order; see the file
-  /// comment for the relation to the dense kernel.
+  /// `x` must not alias `*y`. Deterministic fixed op order (file comment).
   void MatVecInto(const Vector& x, Vector* y) const;
 
-  /// Y ← A·X over a query-major packed panel of k vectors, with the same
-  /// layout contract as Matrix::MatPanelInto: query j reads
-  /// panel[j·n .. j·n+n) and writes y[j·n .. j·n+n). Blocked 4 queries wide
-  /// so each packed row is streamed once per block; every output column is
-  /// bit-identical to a standalone MatVecInto on that query. `panel` must
-  /// not alias `y`.
+  /// Y ← A·X over a query-major panel of k vectors: query j reads
+  /// panel[j·n .. j·n+n) and writes y[j·n .. j·n+n), so y holds k·n doubles.
+  /// Blocked 4 queries wide so each row block of A is streamed once per
+  /// block of queries; every output column is bit-identical to a standalone
+  /// MatVecInto on that query. `panel` must not alias `y`. This is the
+  /// batched-quote hot kernel (DESIGN.md §11).
   void MatPanelInto(const double* panel, int k, double* y) const;
 
   /// xᵀ·A·x without materializing A·x (allocation-free diagnostics path).
   double QuadraticForm(const Vector& x) const;
 
   /// A ← factor·(A − coef·b·bᵀ) over the packed triangle — the fused
-  /// Löwner–John cut update. Entry-for-entry the same op sequence as the
-  /// dense kernel's upper triangle, so as long as a packed and a dense
-  /// ellipsoid hold bit-equal upper triangles, one cut keeps them bit-equal
-  /// (divergence only enters through the dense side's symmetrize pass).
+  /// Löwner–John cut update, one expression factor·(a − (coef·b_r)·b_c) per
+  /// stored entry.
   void FusedScaleRankOne(double factor, double coef, const Vector& b);
 
   /// Sum of diagonal entries.

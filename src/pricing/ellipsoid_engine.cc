@@ -30,15 +30,10 @@ namespace {
 Ellipsoid MakeInitialEllipsoid(const EllipsoidEngineConfig& config) {
   double diag = config.initial_radius * config.initial_radius;
   if (config.initial_center.empty()) {
-    return config.packed_shape ? Ellipsoid::PackedBall(config.dim, config.initial_radius)
-                               : Ellipsoid::Ball(config.dim, config.initial_radius);
+    return Ellipsoid::Ball(config.dim, config.initial_radius);
   }
   PDM_CHECK(static_cast<int>(config.initial_center.size()) == config.dim);
-  if (config.packed_shape) {
-    return Ellipsoid(config.initial_center,
-                     PackedSymMatrix::ScaledIdentity(config.dim, diag));
-  }
-  return Ellipsoid(config.initial_center, Matrix::ScaledIdentity(config.dim, diag));
+  return Ellipsoid(config.initial_center, PackedSymMatrix::ScaledIdentity(config.dim, diag));
 }
 
 }  // namespace
@@ -245,9 +240,9 @@ bool EllipsoidPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   out->epsilon = epsilon_;
   out->delta = config_.delta;
   out->center = ellipsoid_.center();
-  // DenseShape: a plain copy in dense mode, an exact symmetric mirror in
-  // packed mode — either way the snapshot byte format stays one dense
-  // matrix, and a packed engine re-encodes byte-exactly (DESIGN.md §12).
+  // DenseShape is an exact mirror of the packed triangle, so the snapshot
+  // byte format stays one dense matrix and a restored engine re-encodes
+  // byte-exactly (DESIGN.md §12).
   out->shape = ellipsoid_.DenseShape();
   out->cuts_since_symmetrize = ellipsoid_.cuts_since_symmetrize();
   out->lo = 0.0;
@@ -268,8 +263,7 @@ bool EllipsoidPricingEngine::LoadSnapshot(const EngineSnapshot& snapshot) {
   }
   if (pending_ != PendingKind::kNone) return false;
   ellipsoid_ = Ellipsoid::FromSnapshotState(snapshot.center, snapshot.shape,
-                                            snapshot.cuts_since_symmetrize,
-                                            config_.packed_shape);
+                                            snapshot.cuts_since_symmetrize);
   epsilon_ = snapshot.epsilon;
   config_.delta = snapshot.delta;
   counters_ = snapshot.counters;

@@ -49,13 +49,6 @@ struct EllipsoidEngineConfig {
   /// ABLATION ONLY: also cut on conservative-price feedback. Unsafe — see
   /// Lemma 8 / `pdm_run --scenarios=lemma8`.
   bool allow_conservative_cuts = false;
-  /// Store the shape matrix packed (upper triangle only): n(n+1)/2 doubles
-  /// instead of n², halving the dominant per-product bytes at serving scale
-  /// (DESIGN.md §12). Semantically the same algorithm; numerically a
-  /// documented-tolerance twin of the dense default (which stays
-  /// bit-identical to every published pin). Within packed mode all
-  /// determinism contracts hold, including bit-identical snapshot resume.
-  bool packed_shape = false;
 };
 
 /// Theorem 1's threshold choice ε = max(n²/T, 4nδ); see the implementation
@@ -75,7 +68,8 @@ class EllipsoidPricingEngine : public PricingEngine {
 
   /// Serving hooks (DESIGN.md §9): the pending support/price move into the
   /// ticket's cut context, and snapshots carry the full ellipsoid state
-  /// (center, shape, symmetrization phase) plus counters.
+  /// (center, shape as its dense mirror, cut phase) plus counters; a restore
+  /// packs the shape's upper triangle back (DESIGN.md §12).
   bool DetachPending(PendingCut* out) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
   bool SaveSnapshot(EngineSnapshot* out) const override;

@@ -68,10 +68,11 @@ struct EngineSnapshot {
   double epsilon = 0.0;
   /// Uncertainty buffer δ.
   double delta = 0.0;
-  /// Ellipsoid state: center c_t and shape A_t of the knowledge set, plus
-  /// the drift-control phase (cuts since the last re-symmetrization,
-  /// DESIGN.md §3) — restoring it keeps the resumed cut sequence
-  /// bit-identical to an uninterrupted run.
+  /// Ellipsoid state: center c_t and shape A_t of the knowledge set (the
+  /// dense mirror of the packed triangle), plus the cut count mod 32 that
+  /// the format has carried since dense storage re-symmetrized on that
+  /// schedule (Ellipsoid::cuts_since_symmetrize) — restoring it keeps a
+  /// restored blob's re-encode byte-exact.
   Vector center;
   Matrix shape{0, 0};
   int cuts_since_symmetrize = 0;

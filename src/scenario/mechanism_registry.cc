@@ -94,7 +94,6 @@ std::unique_ptr<PricingEngine> MechanismRegistry::Build(const ScenarioSpec& spec
     config.delta = delta;
     config.use_reserve = traits->use_reserve;
     config.allow_conservative_cuts = traits->allow_conservative_cuts;
-    config.packed_shape = spec.packed_shape;
     base = std::make_unique<EllipsoidPricingEngine>(config);
   }
 

@@ -150,12 +150,6 @@ struct ScenarioSpec {
   uint64_t sim_seed = 99;
   /// Regret-series sampling stride (0 = no series).
   int64_t series_stride = 0;
-
-  /// Packed (upper-triangular) shape storage for ellipsoid engines: halves
-  /// the per-product shape bytes at serving scale (DESIGN.md §12). Off by
-  /// default — the dense path stays bit-identical to every published pin;
-  /// packed mode is a documented-tolerance twin. Interval engines ignore it.
-  bool packed_shape = false;
 };
 
 /// Returns the empty string when `spec` is well-formed, else a

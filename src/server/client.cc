@@ -46,6 +46,7 @@ void Client::Disconnect() {
   fd_.Reset();
   queued_.clear();
   pending_.clear();
+  pending_offset_ = 0;
 }
 
 Status Client::Reconnect() {
@@ -138,14 +139,15 @@ Status Client::ReadFrame(std::string* payload) {
   for (;;) {
     std::string_view view;
     size_t next;
-    FrameResult r = NextFrame(pending_, 0, &view, &next);
+    FrameResult r = NextFrame(pending_, pending_offset_, &view, &next);
     if (r == FrameResult::kMalformed) {
       Disconnect();
       return Status::FailedPrecondition("oversized response frame");
     }
     if (r == FrameResult::kFrame) {
       payload->assign(view);
-      pending_.erase(0, next);
+      pending_offset_ = next;
+      CompactConsumed(&pending_, &pending_offset_);
       return Status::Ok();
     }
     if (bounded) {

@@ -162,7 +162,8 @@ class Client {
   uint16_t port_ = 0;
   uint64_t next_id_ = 1;
   std::string queued_;   ///< frames queued and not yet written
-  std::string pending_;  ///< bytes read and not yet decoded
+  std::string pending_;       ///< bytes read; [0, pending_offset_) decoded
+  size_t pending_offset_ = 0;  ///< consumed prefix of `pending_`
   uint64_t jitter_state_ = 0;
   int prev_backoff_ms_ = 0;
   int64_t retries_ = 0;

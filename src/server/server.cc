@@ -23,10 +23,6 @@ using pdm::broker::Quote;
 /// Fixed request/response header: u8 opcode + u64 request id.
 constexpr size_t kHeaderBytes = 1 + 8;
 
-/// Compact the consumed prefix of a read buffer once it crosses this size
-/// (compacting on every frame would make buffered pipelining O(n^2)).
-constexpr size_t kCompactThreshold = size_t{64} << 10;
-
 uint8_t QuoteFlags(const Quote& q) {
   uint8_t flags = 0;
   if (q.exploratory) flags |= kQuoteExploratory;
@@ -513,13 +509,7 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
   }
 
   conn->in_offset = offset;
-  if (conn->in_offset == conn->in.size()) {
-    conn->in.clear();
-    conn->in_offset = 0;
-  } else if (conn->in_offset > kCompactThreshold) {
-    conn->in.erase(0, conn->in_offset);
-    conn->in_offset = 0;
-  }
+  CompactConsumed(&conn->in, &conn->in_offset);
   return true;
 }
 

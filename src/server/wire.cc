@@ -28,4 +28,14 @@ FrameResult NextFrame(std::string_view buffer, size_t offset,
   return FrameResult::kFrame;
 }
 
+void CompactConsumed(std::string* buffer, size_t* offset) {
+  if (*offset == buffer->size()) {
+    buffer->clear();
+    *offset = 0;
+  } else if (*offset > kCompactThreshold) {
+    buffer->erase(0, *offset);
+    *offset = 0;
+  }
+}
+
 }  // namespace pdm::server

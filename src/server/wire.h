@@ -180,6 +180,15 @@ enum class FrameResult {
 FrameResult NextFrame(std::string_view buffer, size_t offset,
                       std::string_view* payload, size_t* next_offset);
 
+/// Read buffers are consumed by advancing an offset past each frame; the
+/// consumed prefix is erased only once it passes this size.
+inline constexpr size_t kCompactThreshold = size_t{64} << 10;
+
+/// Drops the consumed prefix [0, *offset) of a read buffer when the buffer
+/// is drained or the prefix passes kCompactThreshold, resetting *offset.
+/// Erasing on every frame would make deep pipelines O(n²) in buffered bytes.
+void CompactConsumed(std::string* buffer, size_t* offset);
+
 }  // namespace pdm::server
 
 #endif  // PDM_SERVER_WIRE_H_

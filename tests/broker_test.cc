@@ -9,7 +9,9 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -19,6 +21,7 @@
 #include "broker/driver.h"
 #include "broker/session.h"
 #include "broker/snapshot.h"
+#include "linalg/cholesky.h"
 #include "market/round.h"
 #include "market/simulator.h"
 #include "pricing/ellipsoid_engine.h"
@@ -1405,6 +1408,154 @@ TEST(BrokerColdTier, ResidencyLimitEvictsAutomaticallyAndStatsTrackIt) {
   for (const std::string& name : names) {
     ValueInterval interval;
     EXPECT_TRUE(broker.EstimateValue(name, round.features, &interval).ok());
+  }
+}
+
+/// (θ − c)ᵀA⁻¹(θ − c) for the knowledge set stored in a snapshot.
+double MahalanobisSquared(const EngineSnapshot& engine, const Vector& theta) {
+  Matrix l(0, 0);
+  EXPECT_TRUE(CholeskyFactor(engine.shape, &l));
+  Vector diff = Sub(theta, engine.center);
+  return Dot(diff, CholeskySolve(l, diff));
+}
+
+TEST(BrokerColdTier, EveryServingTouchKeepsThetaInsideAndReserveFloor) {
+  // The paper's two serving invariants on the cold-tier path: with one
+  // resident session and eight products, every touch faults a session in
+  // and evicts another, and after every Observe the session's knowledge set
+  // — read back through the spill codec — still contains θ*
+  // ((θ*−c)ᵀA⁻¹(θ*−c) ≤ 1 + 1e-6); reserve variants never quote below the
+  // reserve. Values are noiseless, so every cut is a valid one.
+  StreamFactory factory;
+  BrokerConfig config;
+  config.spill_dir = ColdDir("invariants");
+  config.max_resident_sessions = 1;
+  Broker broker(config);
+  struct Product {
+    std::string name;
+    ScenarioSpec spec;
+    bool enforces_reserve;
+    Vector theta;
+    std::unique_ptr<QueryStream> stream;
+    Rng rng{0};
+  };
+  std::vector<Product> products;
+  uint64_t seed = 131;
+  for (const char* mechanism : {"pure", "uncertainty", "reserve", "reserve+uncertainty"}) {
+    for (int copy = 0; copy < 2; ++copy) {
+      Product p;
+      p.name = std::string("inv/") + mechanism + "/" + std::to_string(copy);
+      p.spec = LinearSpec(p.name, 6, 3000, mechanism, seed++);
+      p.spec.linear.noise_sigma = 0.0;
+      p.enforces_reserve = std::string(mechanism).rfind("reserve", 0) == 0;
+      WorkloadInfo info = factory.Prepare(p.spec);
+      ASSERT_TRUE(broker.OpenSession(p.name, p.spec, info).ok());
+      p.theta = factory.FindLinearWorkload(p.spec)->theta;
+      p.rng = Rng(p.spec.sim_seed + seed);
+      p.stream = factory.CreateStream(p.spec, &p.rng);
+      products.push_back(std::move(p));
+    }
+  }
+  MarketRound round;
+  int64_t checks = 0;
+  for (int pass = 0; pass < 60; ++pass) {
+    for (Product& p : products) {
+      p.stream->Next(&p.rng, &round);
+      Quote quote;
+      ASSERT_TRUE(broker.PostPrice({p.name, round.features, round.reserve}, &quote).ok());
+      if (p.enforces_reserve) {
+        ASSERT_GE(quote.price, round.reserve) << p.name << " pass " << pass;
+      }
+      ASSERT_TRUE(
+          broker.Observe(quote.ticket, !quote.certain_no_sale && quote.price <= round.value)
+              .ok());
+      SessionSnapshot snap;
+      ASSERT_TRUE(broker.Snapshot(p.name, &snap).ok());
+      SessionSnapshot decoded;
+      ASSERT_TRUE(DecodeSessionSnapshot(EncodeSessionSnapshotV2(snap), &decoded).ok());
+      ASSERT_LE(MahalanobisSquared(decoded.engine, p.theta), 1.0 + 1e-6)
+          << p.name << " pass " << pass;
+      ++checks;
+    }
+  }
+  EXPECT_EQ(checks, 60 * 8);
+  BrokerStats stats = broker.Stats();
+  EXPECT_GE(stats.fault_ins, static_cast<uint64_t>(60 * 8 - 8));
+  EXPECT_GT(stats.evictions, 0u);
+}
+
+TEST(BrokerColdTier, DenseEraSpillWithAsymmetricShapeRestoresFromUpperTriangle) {
+  // Blobs written while shapes were stored dense could carry a lower
+  // triangle a few ulps off the upper one (the fused update drifted between
+  // re-symmetrizations). Such a blob must still decode and restore, by
+  // packing its upper triangle; a blob written from packed storage must
+  // re-encode byte for byte.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("upgrade/base", 6, 2000, "reserve+uncertainty", 141);
+  WorkloadInfo info = factory.Prepare(spec);
+  Broker source;
+  ASSERT_TRUE(source.OpenSession("upgrade/a", spec, info).ok());
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  for (int t = 0; t < 150; ++t) {
+    stream->Next(&rng, &round);
+    Quote quote;
+    ASSERT_TRUE(source.PostPrice({"upgrade/a", round.features, round.reserve}, &quote).ok());
+    ASSERT_TRUE(
+        source.Observe(quote.ticket, !quote.certain_no_sale && quote.price <= round.value)
+            .ok());
+  }
+  SessionSnapshot packed_era;
+  ASSERT_TRUE(source.Snapshot("upgrade/a", &packed_era).ok());
+  const std::string packed_blob = EncodeSessionSnapshotV2(packed_era);
+
+  // Packed-era blob: decode → restore → snapshot → encode is byte-exact.
+  SessionSnapshot decoded;
+  ASSERT_TRUE(DecodeSessionSnapshot(packed_blob, &decoded).ok());
+  Broker packed_restored;
+  ASSERT_TRUE(packed_restored.OpenSession("upgrade/a", spec, info).ok());
+  ASSERT_TRUE(packed_restored.Restore("upgrade/a", decoded).ok());
+  SessionSnapshot again;
+  ASSERT_TRUE(packed_restored.Snapshot("upgrade/a", &again).ok());
+  EXPECT_EQ(EncodeSessionSnapshotV2(again), packed_blob);
+
+  // Dense-era blob: every lower entry one ulp above its upper mirror.
+  SessionSnapshot dense_era = packed_era;
+  Matrix& shape = dense_era.engine.shape;
+  int moved = 0;
+  for (int r = 0; r < shape.rows(); ++r) {
+    for (int c = 0; c < r; ++c) {
+      shape(r, c) = std::nextafter(shape(c, r), std::numeric_limits<double>::infinity());
+      moved += shape(r, c) != shape(c, r);
+    }
+  }
+  ASSERT_EQ(moved, 15);
+  const std::string dense_blob = EncodeSessionSnapshotV2(dense_era);
+  ASSERT_NE(dense_blob, packed_blob);
+  SessionSnapshot dense_decoded;
+  ASSERT_TRUE(DecodeSessionSnapshot(dense_blob, &dense_decoded).ok());
+  Broker dense_restored;
+  ASSERT_TRUE(dense_restored.OpenSession("upgrade/a", spec, info).ok());
+  ASSERT_TRUE(dense_restored.Restore("upgrade/a", dense_decoded).ok());
+  // The restored shape is the blob's upper triangle, mirrored: exactly the
+  // packed-era state, so it re-encodes as the packed-era blob ...
+  SessionSnapshot upgraded;
+  ASSERT_TRUE(dense_restored.Snapshot("upgrade/a", &upgraded).ok());
+  EXPECT_EQ(EncodeSessionSnapshotV2(upgraded), packed_blob);
+  // ... and prices bit-identically to it from here on.
+  for (int t = 0; t < 100; ++t) {
+    stream->Next(&rng, &round);
+    Quote a;
+    Quote b;
+    ASSERT_TRUE(
+        packed_restored.PostPrice({"upgrade/a", round.features, round.reserve}, &a).ok());
+    ASSERT_TRUE(
+        dense_restored.PostPrice({"upgrade/a", round.features, round.reserve}, &b).ok());
+    ASSERT_EQ(a.price, b.price) << "t=" << t;
+    const bool accepted = !a.certain_no_sale && a.price <= round.value;
+    ASSERT_TRUE(packed_restored.Observe(a.ticket, accepted).ok());
+    ASSERT_TRUE(dense_restored.Observe(b.ticket, accepted).ok());
   }
 }
 

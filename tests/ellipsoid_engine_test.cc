@@ -245,17 +245,15 @@ TEST(EllipsoidEngine, NamesMatchPaperVariants) {
   EXPECT_EQ(EllipsoidPricingEngine(config).name(), "pure");
 }
 
-TEST(EllipsoidEngine, PackedModeSnapshotResumesBitIdentically) {
-  // A packed engine's snapshot serializes dense (one codec for both modes)
-  // and must re-encode byte-exactly after a restore, with the restored
-  // engine posting bit-identical prices forever after — the cold-tier
-  // eviction contract (DESIGN.md §12).
+TEST(EllipsoidEngine, SnapshotResumesBitIdentically) {
+  // The packed shape serializes as its dense mirror and must re-encode
+  // byte-exactly after a restore, with the restored engine posting
+  // bit-identical prices forever after — the cold-tier eviction contract
+  // (DESIGN.md §12).
   int dim = 8;
   EllipsoidEngineConfig config = BaseConfig(dim, 100000);
-  config.packed_shape = true;
   config.delta = 0.01;
   EllipsoidPricingEngine engine(config);
-  EXPECT_TRUE(engine.knowledge_set().packed());
   Rng rng(15);
   Vector theta = rng.GaussianVector(dim);
   RescaleToNorm(&theta, std::sqrt(2.0 * dim));
@@ -269,7 +267,6 @@ TEST(EllipsoidEngine, PackedModeSnapshotResumesBitIdentically) {
   ASSERT_TRUE(engine.SaveSnapshot(&snap));
   EllipsoidPricingEngine restored(config);
   ASSERT_TRUE(restored.LoadSnapshot(snap));
-  EXPECT_TRUE(restored.knowledge_set().packed());
   EngineSnapshot again;
   ASSERT_TRUE(restored.SaveSnapshot(&again));
   ASSERT_EQ(again.center, snap.center);
@@ -291,32 +288,25 @@ TEST(EllipsoidEngine, PackedModeSnapshotResumesBitIdentically) {
   }
 }
 
-TEST(EllipsoidEngine, PackedModeTracksDenseWithinTolerance) {
-  // Packed is a documented-tolerance twin of the dense default: same
-  // decisions on well-separated inputs, prices agreeing to ~1e-9 over a
-  // long consistent-feedback run (divergence only enters via the dense
-  // side's 32-cut re-symmetrization, which packed storage does not need).
+TEST(EllipsoidEngine, LongRunKeepsThetaInsideAndShapeHealthy) {
+  // 1000 rounds of consistent feedback: the packed shape stays finite and
+  // positive on the diagonal, and θ* stays inside the knowledge set every
+  // round.
   int dim = 6;
   EllipsoidEngineConfig config = BaseConfig(dim, 100000);
-  EllipsoidPricingEngine dense(config);
-  config.packed_shape = true;
-  EllipsoidPricingEngine packed(config);
+  EllipsoidPricingEngine engine(config);
   Rng rng(16);
   Vector theta = rng.GaussianVector(dim);
   RescaleToNorm(&theta, std::sqrt(2.0 * dim));
   for (int t = 0; t < 1000; ++t) {
     Vector x = UnitFeature(dim, &rng);
     double value = Dot(x, theta);
-    PostedPrice a = dense.PostPrice(x, 0.6 * value);
-    PostedPrice b = packed.PostPrice(x, 0.6 * value);
-    ASSERT_NEAR(a.price, b.price, 1e-9 * std::max(1.0, std::abs(a.price)))
-        << "t=" << t;
-    bool accepted = !a.certain_no_sale && a.price <= value;
-    dense.Observe(accepted);
-    packed.Observe(accepted);
+    PostedPrice posted = engine.PostPrice(x, 0.6 * value);
+    engine.Observe(!posted.certain_no_sale && posted.price <= value);
+    ASSERT_TRUE(engine.knowledge_set().LooksHealthy()) << "t=" << t;
+    ASSERT_TRUE(engine.knowledge_set().Contains(theta, 1e-6)) << "t=" << t;
   }
-  EXPECT_TRUE(packed.knowledge_set().LooksHealthy());
-  EXPECT_EQ(dense.counters().exploratory_rounds, packed.counters().exploratory_rounds);
+  EXPECT_GT(engine.counters().exploratory_rounds, 0);
 }
 
 }  // namespace

@@ -13,8 +13,8 @@ TEST(Ellipsoid, BallBasics) {
   Ellipsoid e = Ellipsoid::Ball(3, 2.0);
   EXPECT_EQ(e.dim(), 3);
   EXPECT_EQ(e.center(), Zeros(3));
-  EXPECT_DOUBLE_EQ(e.shape()(0, 0), 4.0);
-  EXPECT_DOUBLE_EQ(e.shape()(0, 1), 0.0);
+  EXPECT_DOUBLE_EQ(e.shape().At(0, 0), 4.0);
+  EXPECT_DOUBLE_EQ(e.shape().At(0, 1), 0.0);
   EXPECT_TRUE(e.LooksHealthy());
 }
 
@@ -37,7 +37,7 @@ TEST(Ellipsoid, SupportScalesWithFeatureNorm) {
 }
 
 TEST(Ellipsoid, SupportWithOffCenter) {
-  Ellipsoid e(Vector{1.0, 2.0}, Matrix::ScaledIdentity(2, 1.0));
+  Ellipsoid e(Vector{1.0, 2.0}, PackedSymMatrix::ScaledIdentity(2, 1.0));
   SupportInterval s = e.Support(BasisVector(2, 1));
   EXPECT_DOUBLE_EQ(s.midpoint, 2.0);
   EXPECT_DOUBLE_EQ(s.lower, 1.0);
@@ -61,9 +61,9 @@ TEST(Ellipsoid, CentralCutKeepBelowMatchesKnownLownerJohn) {
   e.CutKeepBelow(BasisVector(2, 0), 0.0);
   EXPECT_NEAR(e.center()[0], -1.0 / 3.0, 1e-12);
   EXPECT_NEAR(e.center()[1], 0.0, 1e-12);
-  EXPECT_NEAR(e.shape()(0, 0), 4.0 / 9.0, 1e-12);
-  EXPECT_NEAR(e.shape()(1, 1), 4.0 / 3.0, 1e-12);
-  EXPECT_NEAR(e.shape()(0, 1), 0.0, 1e-12);
+  EXPECT_NEAR(e.shape().At(0, 0), 4.0 / 9.0, 1e-12);
+  EXPECT_NEAR(e.shape().At(1, 1), 4.0 / 3.0, 1e-12);
+  EXPECT_NEAR(e.shape().At(0, 1), 0.0, 1e-12);
   EXPECT_TRUE(e.LooksHealthy());
 }
 
@@ -73,8 +73,8 @@ TEST(Ellipsoid, CentralCutKeepAboveIsMirrorImage) {
   below.CutKeepBelow(BasisVector(2, 0), 0.0);
   above.CutKeepAbove(BasisVector(2, 0), 0.0);
   EXPECT_NEAR(above.center()[0], -below.center()[0], 1e-12);
-  EXPECT_NEAR(above.shape()(0, 0), below.shape()(0, 0), 1e-12);
-  EXPECT_NEAR(above.shape()(1, 1), below.shape()(1, 1), 1e-12);
+  EXPECT_NEAR(above.shape().At(0, 0), below.shape().At(0, 0), 1e-12);
+  EXPECT_NEAR(above.shape().At(1, 1), below.shape().At(1, 1), 1e-12);
 }
 
 TEST(Ellipsoid, CutKeepsTheCorrectSide) {
@@ -114,8 +114,8 @@ TEST(Ellipsoid, BoundaryAlphaIsIdentityUpdate) {
   // fact that the minimal enclosing ellipsoid of a ≤ −1/n cut is E itself.
   Ellipsoid e = Ellipsoid::Ball(2, 1.0);
   e.CutKeepBelow(BasisVector(2, 0), -0.5);
-  EXPECT_NEAR(e.shape()(0, 0), 1.0, 1e-12);
-  EXPECT_NEAR(e.shape()(1, 1), 1.0, 1e-12);
+  EXPECT_NEAR(e.shape().At(0, 0), 1.0, 1e-12);
+  EXPECT_NEAR(e.shape().At(1, 1), 1.0, 1e-12);
   EXPECT_NEAR(e.center()[0], 0.0, 1e-12);
 }
 
@@ -184,7 +184,7 @@ TEST(Ellipsoid, CachedDirectionCutMatchesFreshCut) {
       ASSERT_NEAR(by_vector.center()[static_cast<size_t>(i)],
                   by_support.center()[static_cast<size_t>(i)], 1e-12);
       for (int j = 0; j < 4; ++j) {
-        ASSERT_NEAR(by_vector.shape()(i, j), by_support.shape()(i, j), 1e-12);
+        ASSERT_NEAR(by_vector.shape().At(i, j), by_support.shape().At(i, j), 1e-12);
       }
     }
   }
@@ -271,8 +271,8 @@ TEST(Ellipsoid, SupportBatchClearsDirectionOnDegenerateColumn) {
   // A collapsed direction inside a panel must degenerate exactly like the
   // scalar path: zero width, empty direction — while its neighbours in the
   // same panel stay untouched.
-  Matrix a = Matrix::ScaledIdentity(2, 1.0);
-  a(1, 1) = 0.0;
+  PackedSymMatrix a = PackedSymMatrix::ScaledIdentity(2, 1.0);
+  a.At(1, 1) = 0.0;
   Ellipsoid e(Zeros(2), a);
   Vector panel{1.0, 0.0,   // healthy column (probes the live axis)
                0.0, 1.0};  // degenerate column (probes the collapsed axis)
@@ -288,8 +288,8 @@ TEST(Ellipsoid, SupportBatchClearsDirectionOnDegenerateColumn) {
 }
 
 TEST(Ellipsoid, SupportOutParamClearsDirectionOnDegenerate) {
-  Matrix a = Matrix::ScaledIdentity(2, 1.0);
-  a(1, 1) = 0.0;
+  PackedSymMatrix a = PackedSymMatrix::ScaledIdentity(2, 1.0);
+  a.At(1, 1) = 0.0;
   Ellipsoid e(Zeros(2), a);
   SupportInterval reused;
   reused.direction.assign(4, 3.0);  // stale content from a previous round
@@ -301,66 +301,99 @@ TEST(Ellipsoid, SupportOutParamClearsDirectionOnDegenerate) {
 TEST(Ellipsoid, DegenerateDirectionYieldsZeroWidth) {
   // Shape with a numerically zero direction: Support reports zero width
   // instead of NaN.
-  Matrix a = Matrix::ScaledIdentity(2, 1.0);
-  a(1, 1) = 0.0;
+  PackedSymMatrix a = PackedSymMatrix::ScaledIdentity(2, 1.0);
+  a.At(1, 1) = 0.0;
   Ellipsoid e(Zeros(2), a);
   SupportInterval s = e.Support(BasisVector(2, 1));
   EXPECT_DOUBLE_EQ(s.half_width, 0.0);
   EXPECT_DOUBLE_EQ(s.lower, s.upper);
 }
 
-// ---------------------------------------------------------------- packed
+// ------------------------------------------------------ packed storage
 
-TEST(EllipsoidPacked, BallBasicsAndAccessorGuards) {
-  GTEST_FLAG_SET(death_test_style, "threadsafe");
-  Ellipsoid e = Ellipsoid::PackedBall(3, 2.0);
-  EXPECT_TRUE(e.packed());
-  EXPECT_EQ(e.dim(), 3);
-  EXPECT_DOUBLE_EQ(e.packed_shape().At(0, 0), 4.0);
-  EXPECT_DOUBLE_EQ(e.DenseShape()(0, 1), 0.0);
-  EXPECT_TRUE(e.LooksHealthy());
-  EXPECT_DEATH(e.shape(), "PDM_CHECK");
-  Ellipsoid dense = Ellipsoid::Ball(3, 2.0);
-  EXPECT_FALSE(dense.packed());
-  EXPECT_DEATH(dense.packed_shape(), "PDM_CHECK");
+TEST(Ellipsoid, ShapeIsStoredAsItsUpperTriangle) {
+  Ellipsoid e = Ellipsoid::Ball(20, 2.0);
+  EXPECT_EQ(e.shape().packed_size(), static_cast<size_t>(20 * 21 / 2));
+  Matrix dense = e.DenseShape();
+  EXPECT_DOUBLE_EQ(dense(3, 3), 4.0);
+  EXPECT_DOUBLE_EQ(dense(3, 4), 0.0);
 }
 
-TEST(EllipsoidPacked, CutSequenceMatchesDenseUntilFirstSymmetrize) {
-  // Within the dense mode's 32-cut symmetrization window the packed cut is
-  // per-entry bit-identical to the dense one (the packed fused kernel runs
-  // the dense kernel's upper-triangle expression in the same order), and
-  // Support's quadratic form reduces over the same geometry at documented
-  // tolerance. Past the first symmetrize the trajectories may diverge in
-  // low-order bits — which is exactly why packed mode is opt-in.
+// Exact-arithmetic stand-in for the Löwner–John update (Algorithm 1 Lines
+// 17/21) on a full dense long double shape: the reference the packed cut
+// sequence is pinned against.
+struct ReferenceEllipsoid {
+  int n;
+  std::vector<long double> c;
+  std::vector<long double> a;  // n×n row-major, both triangles
+
+  long double At(int r, int col) const { return a[static_cast<size_t>(r) * n + col]; }
+
+  void Cut(const Vector& x, double alpha, double sign) {
+    std::vector<long double> ax(static_cast<size_t>(n), 0.0L);
+    long double quad = 0.0L;
+    for (int r = 0; r < n; ++r) {
+      for (int col = 0; col < n; ++col) ax[r] += At(r, col) * x[static_cast<size_t>(col)];
+      quad += x[static_cast<size_t>(r)] * ax[r];
+    }
+    const long double hw = std::sqrt(quad);
+    const long double nd = n;
+    const long double s = sign * alpha;
+    const long double factor = nd * nd * (1.0L - s * s) / (nd * nd - 1.0L);
+    const long double coef = 2.0L * (1.0L + nd * s) / ((nd + 1.0L) * (1.0L + s));
+    const long double step = (1.0L + nd * s) / (nd + 1.0L);
+    for (int r = 0; r < n; ++r) {
+      for (int col = 0; col < n; ++col) {
+        long double& v = a[static_cast<size_t>(r) * n + col];
+        v = factor * (v - coef * (ax[r] / hw) * (ax[col] / hw));
+      }
+      c[r] -= sign * step * ax[r] / hw;
+    }
+  }
+};
+
+TEST(Ellipsoid, EveryCutMatchesLongDoubleReference) {
+  // 64 alternating cuts per dim (two full 32-cut phases), each pinned
+  // against an exact-arithmetic cut of the same pre-cut state: the reference
+  // restarts from the implementation's state before every cut, so the pin
+  // measures one step's rounding, not the conditioning of a shrinking
+  // ellipsoid. Dims cover the 4-row blocks, the tail rows and both mixed.
+  // Tolerance: 1e-14 of the pre-cut scale, about 45 ulps; one step measured
+  // ≤ 4.4e-16 (shape) and ≤ 1.7e-16 (center) on this seed.
   Rng rng(1111);
-  for (int d : {2, 5, 20}) {
-    Ellipsoid dense = Ellipsoid::Ball(d, 2.0);
-    Ellipsoid packed = Ellipsoid::PackedBall(d, 2.0);
-    for (int k = 0; k < 31; ++k) {
+  for (int d : {2, 5, 20, 33}) {
+    Ellipsoid e = Ellipsoid::Ball(d, 2.0);
+    for (int k = 0; k < 64; ++k) {
+      ReferenceEllipsoid ref{d, std::vector<long double>(e.center().begin(), e.center().end()),
+                             std::vector<long double>(static_cast<size_t>(d) * d)};
+      long double scale = 0.0L;
+      for (int r = 0; r < d; ++r) {
+        for (int c = 0; c < d; ++c) {
+          ref.a[static_cast<size_t>(r) * d + c] = e.shape().At(r, c);
+          scale = std::max(scale, std::fabs(ref.a[static_cast<size_t>(r) * d + c]));
+        }
+      }
       Vector x = rng.GaussianVector(d);
       RescaleToNorm(&x, 1.0);
-      SupportInterval sd = dense.Support(x);
-      SupportInterval sp = packed.Support(x);
-      ASSERT_NEAR(sp.half_width, sd.half_width,
-                  1e-12 * std::max(1.0, sd.half_width));
-      ASSERT_NEAR(sp.midpoint, sd.midpoint, 1e-12);
-      if (sd.half_width <= 0.0 || sp.half_width <= 0.0) continue;
-      double alpha = rng.NextUniform(-0.2, 0.2) / d;
-      if (k % 2 == 0) {
-        dense.CutKeepBelow(sd, alpha);
-        packed.CutKeepBelow(sp, alpha);
+      SupportInterval s = e.Support(x);
+      ASSERT_GT(s.half_width, 0.0);
+      const double alpha = rng.NextUniform(-0.2, 0.2) / d;
+      const double sign = (k % 2 == 0) ? 1.0 : -1.0;
+      if (sign > 0.0) {
+        e.CutKeepBelow(s, alpha);
       } else {
-        dense.CutKeepAbove(sd, alpha);
-        packed.CutKeepAbove(sp, alpha);
+        e.CutKeepAbove(s, alpha);
       }
-      ASSERT_EQ(dense.cuts_since_symmetrize(), packed.cuts_since_symmetrize());
+      ref.Cut(x, alpha, sign);
+      ASSERT_EQ(e.cuts_since_symmetrize(), (k + 1) % 32);
+      const double center_scale = std::sqrt(static_cast<double>(scale));
       for (int r = 0; r < d; ++r) {
-        ASSERT_NEAR(packed.center()[static_cast<size_t>(r)],
-                    dense.center()[static_cast<size_t>(r)], 1e-12)
-            << "d=" << d << " k=" << k;
+        ASSERT_NEAR(e.center()[static_cast<size_t>(r)],
+                    static_cast<double>(ref.c[static_cast<size_t>(r)]), 1e-14 * center_scale)
+            << "d=" << d << " k=" << k << " r=" << r;
         for (int c = r; c < d; ++c) {
-          ASSERT_NEAR(packed.packed_shape().At(r, c), dense.shape()(r, c),
-                      1e-12 * std::max(1.0, std::abs(dense.shape()(r, c))))
+          ASSERT_NEAR(e.shape().At(r, c), static_cast<double>(ref.At(r, c)),
+                      1e-14 * static_cast<double>(scale))
               << "d=" << d << " k=" << k << " " << r << "," << c;
         }
       }
@@ -368,46 +401,12 @@ TEST(EllipsoidPacked, CutSequenceMatchesDenseUntilFirstSymmetrize) {
   }
 }
 
-TEST(EllipsoidPacked, SupportBatchMatchesSequentialSupportBitwise) {
-  // The §11 per-query bit-identity contract holds within packed mode too.
-  Rng rng(1212);
-  for (int d : {2, 3, 20, 50}) {
-    Ellipsoid e = Ellipsoid::PackedBall(d, 2.0);
-    for (int k : {1, 2, 7, 32}) {
-      Vector panel(static_cast<size_t>(k) * d);
-      for (double& v : panel) v = rng.NextGaussian();
-      std::vector<SupportInterval> batched(static_cast<size_t>(k));
-      for (SupportInterval& s : batched) s.direction.assign(7, -42.0);  // dirty
-      e.SupportBatch(panel.data(), k, batched.data());
-      Vector x(static_cast<size_t>(d));
-      SupportInterval expected;
-      for (int j = 0; j < k; ++j) {
-        x.assign(panel.begin() + static_cast<size_t>(j) * d,
-                 panel.begin() + static_cast<size_t>(j + 1) * d);
-        e.Support(x, &expected);
-        const SupportInterval& got = batched[static_cast<size_t>(j)];
-        ASSERT_EQ(expected.lower, got.lower) << "d=" << d << " k=" << k << " j=" << j;
-        ASSERT_EQ(expected.upper, got.upper) << "d=" << d << " k=" << k << " j=" << j;
-        ASSERT_EQ(expected.half_width, got.half_width)
-            << "d=" << d << " k=" << k << " j=" << j;
-        ASSERT_EQ(expected.midpoint, got.midpoint)
-            << "d=" << d << " k=" << k << " j=" << j;
-        ASSERT_EQ(expected.direction, got.direction)
-            << "d=" << d << " k=" << k << " j=" << j;
-      }
-      if (batched[0].half_width > 0.0) {
-        e.CutKeepBelow(batched[0], 0.05);
-      }
-    }
-  }
-}
-
-TEST(EllipsoidPacked, SnapshotRoundTripIsBitExact) {
+TEST(Ellipsoid, SnapshotRoundTripIsBitExact) {
   // Packed → dense snapshot → packed must resume bit-identically, including
-  // the symmetrization phase; that is the property cold-tier eviction
-  // (DESIGN.md §12) leans on.
+  // the cut phase; that is the property cold-tier eviction (DESIGN.md §12)
+  // leans on.
   Rng rng(1313);
-  Ellipsoid e = Ellipsoid::PackedBall(6, 1.5);
+  Ellipsoid e = Ellipsoid::Ball(6, 1.5);
   for (int k = 0; k < 40; ++k) {  // crosses a 32-cut counter reset
     Vector x = rng.GaussianVector(6);
     RescaleToNorm(&x, 1.0);
@@ -417,14 +416,13 @@ TEST(EllipsoidPacked, SnapshotRoundTripIsBitExact) {
   }
   Matrix snap_shape = e.DenseShape();
   Vector snap_center = e.center();
-  Ellipsoid restored = Ellipsoid::FromSnapshotState(
-      snap_center, snap_shape, e.cuts_since_symmetrize(), /*packed=*/true);
-  EXPECT_TRUE(restored.packed());
+  Ellipsoid restored =
+      Ellipsoid::FromSnapshotState(snap_center, snap_shape, e.cuts_since_symmetrize());
   ASSERT_EQ(restored.cuts_since_symmetrize(), e.cuts_since_symmetrize());
   for (int r = 0; r < 6; ++r) {
     ASSERT_EQ(restored.center()[static_cast<size_t>(r)], e.center()[static_cast<size_t>(r)]);
     for (int c = r; c < 6; ++c) {
-      ASSERT_EQ(restored.packed_shape().At(r, c), e.packed_shape().At(r, c));
+      ASSERT_EQ(restored.shape().At(r, c), e.shape().At(r, c));
     }
   }
   // And the re-encoded snapshot is byte-exact.
@@ -434,7 +432,7 @@ TEST(EllipsoidPacked, SnapshotRoundTripIsBitExact) {
       ASSERT_EQ(again(r, c), snap_shape(r, c));
     }
   }
-  // Future cuts evolve both copies identically (same packed arithmetic).
+  // Future cuts evolve both copies identically.
   Vector x = rng.GaussianVector(6);
   RescaleToNorm(&x, 1.0);
   Ellipsoid twin = e;
@@ -446,7 +444,7 @@ TEST(EllipsoidPacked, SnapshotRoundTripIsBitExact) {
     restored.CutKeepBelow(sb, 0.02);
     for (int r = 0; r < 6; ++r) {
       for (int c = r; c < 6; ++c) {
-        ASSERT_EQ(twin.packed_shape().At(r, c), restored.packed_shape().At(r, c));
+        ASSERT_EQ(twin.shape().At(r, c), restored.shape().At(r, c));
       }
     }
   }

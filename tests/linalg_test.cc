@@ -72,12 +72,6 @@ TEST(Matrix, MatVec) {
   EXPECT_EQ(m.MatTVec({1, 1}), (Vector{4, 6}));
 }
 
-TEST(Matrix, QuadraticForm) {
-  Matrix m = Matrix::FromRows({{2, 1}, {1, 3}});
-  // [1 2]·A·[1 2]ᵀ = 2 + 2 + 2 + 12 = 18.
-  EXPECT_DOUBLE_EQ(m.QuadraticForm({1, 2}), 18.0);
-}
-
 TEST(Matrix, AddRankOne) {
   Matrix m(2, 2);
   m.AddRankOne(2.0, {1, 3});
@@ -87,15 +81,13 @@ TEST(Matrix, AddRankOne) {
   EXPECT_DOUBLE_EQ(m(1, 1), 18.0);
 }
 
-TEST(Matrix, SymmetrizeAndAsymmetry) {
+TEST(Matrix, Symmetrize) {
   Matrix m(2, 2);
   m(0, 1) = 1.0;
   m(1, 0) = 3.0;
-  EXPECT_DOUBLE_EQ(m.MaxAsymmetry(), 2.0);
   m.Symmetrize();
   EXPECT_DOUBLE_EQ(m(0, 1), 2.0);
   EXPECT_DOUBLE_EQ(m(1, 0), 2.0);
-  EXPECT_DOUBLE_EQ(m.MaxAsymmetry(), 0.0);
 }
 
 TEST(Matrix, MatMulAndTranspose) {
@@ -119,32 +111,6 @@ TEST(Matrix, ScaleInPlace) {
   Matrix m = Matrix::FromRows({{1, 2}, {3, 4}});
   m.Scale(10.0);
   EXPECT_DOUBLE_EQ(m(1, 1), 40.0);
-}
-
-TEST(Matrix, FusedScaleRankOneMatchesTwoStep) {
-  // The fused hot-path update must equal AddRankOne followed by Scale.
-  Matrix fused = Matrix::FromRows({{4, 1, 0}, {1, 3, 1}, {0, 1, 5}});
-  Matrix two_step = fused;
-  Vector b{0.5, -1.0, 2.0};
-  double factor = 1.31;
-  double coef = 0.42;
-  fused.FusedScaleRankOne(factor, coef, b);
-  two_step.AddRankOne(-coef, b);
-  two_step.Scale(factor);
-  for (int r = 0; r < 3; ++r) {
-    for (int c = 0; c < 3; ++c) {
-      EXPECT_NEAR(fused(r, c), two_step(r, c), 1e-12) << r << "," << c;
-    }
-  }
-}
-
-TEST(Matrix, FusedScaleRankOnePreservesSymmetryToUlps) {
-  Matrix m = Matrix::ScaledIdentity(8, 3.0);
-  Vector b{0.1, 0.2, -0.3, 0.4, -0.5, 0.6, 0.7, -0.8};
-  for (int k = 0; k < 1000; ++k) {
-    m.FusedScaleRankOne(1.001, 0.01, b);
-  }
-  EXPECT_LT(m.MaxAsymmetry(), 1e-9 * std::max(1.0, m.FrobeniusNorm()));
 }
 
 // ---------------------------------------------------------------- sparse
@@ -206,43 +172,6 @@ TEST(MatrixInPlace, MatVecIntoMatchesByValueBitwise) {
     m.MatTVecInto(x, &y);
     EXPECT_EQ(y, m.MatTVec(x)) << "n=" << n;
   }
-}
-
-TEST(MatrixPanel, MatPanelIntoMatchesMatVecBitwise) {
-  // The batched kernel must produce each query's result bit-identical to a
-  // standalone MatVecInto pass — the register-blocking may only interleave
-  // the independent per-query reduction chains, never reassociate within
-  // one. Dims cover non-multiples of 4 (scalar-tail coverage) and k covers
-  // the blocked path, the remainder path, and their mix.
-  Rng rng(404);
-  for (int n : {2, 3, 5, 8, 13, 20, 50}) {
-    Matrix m(n, n);
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < n; ++c) m(r, c) = rng.NextGaussian();
-    }
-    for (int k : {1, 2, 4, 7, 32}) {
-      Vector panel(static_cast<size_t>(k) * n);
-      for (double& v : panel) v = rng.NextGaussian();
-      Vector y(static_cast<size_t>(k) * n, 99.0);  // dirty reused buffer
-      m.MatPanelInto(panel.data(), k, y.data());
-      Vector x(static_cast<size_t>(n));
-      Vector expected;
-      for (int j = 0; j < k; ++j) {
-        x.assign(panel.begin() + static_cast<size_t>(j) * n,
-                 panel.begin() + static_cast<size_t>(j + 1) * n);
-        m.MatVecInto(x, &expected);
-        for (int r = 0; r < n; ++r) {
-          ASSERT_EQ(y[static_cast<size_t>(j) * n + r], expected[static_cast<size_t>(r)])
-              << "n=" << n << " k=" << k << " j=" << j << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
-TEST(MatrixPanel, ZeroQueriesIsANoOp) {
-  Matrix m = Matrix::FromRows({{1, 2}, {3, 4}});
-  m.MatPanelInto(nullptr, 0, nullptr);  // k = 0 must not touch the pointers
 }
 
 TEST(VectorOps, RawDotMatchesVectorDotBitwise) {
@@ -313,40 +242,85 @@ TEST(PackedSymMatrix, DenseRoundTripIsBitExact) {
   }
 }
 
-TEST(PackedSymMatrix, MatVecMatchesDenseWithinTolerance) {
-  // The packed mat-vec accumulates in a different order than the dense
-  // row-dot kernel, so the contract is tolerance, not bits (the header
-  // documents this). Tolerance is relative to the result magnitude.
+// Dims for the packed kernels: every n below 10 (full 4-row blocks, the
+// 1-3 row tail, and tail-only matrices), the n=17/33 tail after several
+// blocks, and the serving dims 20/32/64 (whole blocks only).
+const int kPackedDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 20, 32, 33, 64};
+
+// Rigorous forward-error bound γ_m = m·u/(1 − m·u) of an m-term float sum of
+// products in any association order (u = 2⁻⁵³, the unit roundoff).
+double Gamma(int m) {
+  const double u = std::ldexp(1.0, -53);
+  return m * u / (1.0 - m * u);
+}
+
+TEST(PackedSymMatrix, MatVecAndQuadraticFormMatchLongDoubleReference) {
+  // Each y_r is an n-term dot product, whatever order the kernel sums it in,
+  // so |y_r − exact| ≤ γ_n·Σ_c |a_rc·x_c|; the quadratic form sums at most
+  // 2n+2 rounded terms per row chain. The reference runs in long double
+  // over the full mirrored matrix. A wrong index, a lost mirror entry or a
+  // double-counted diagonal breaks this by orders of magnitude.
   Rng rng(707);
-  for (int n : {2, 3, 5, 8, 13, 20, 50}) {
-    Matrix dense = RandomSymmetric(n, &rng);
-    PackedSymMatrix packed = PackedSymMatrix::FromDense(dense);
-    Vector x = rng.GaussianVector(n);
-    Vector yp(1, 99.0);
-    Vector yd(1, 99.0);
-    packed.MatVecInto(x, &yp);
-    dense.MatVecInto(x, &yd);
-    ASSERT_EQ(yp.size(), static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      double scale = std::max(1.0, std::abs(yd[static_cast<size_t>(r)]));
-      ASSERT_NEAR(yp[static_cast<size_t>(r)], yd[static_cast<size_t>(r)], 1e-12 * scale)
-          << "n=" << n << " r=" << r;
+  for (int n : kPackedDims) {
+    for (int trial = 0; trial < 3; ++trial) {
+      PackedSymMatrix packed = PackedSymMatrix::FromDense(RandomSymmetric(n, &rng));
+      Vector x = rng.GaussianVector(n);
+      Vector y(1, 99.0);  // dirty, wrongly sized reused buffer
+      packed.MatVecInto(x, &y);
+      ASSERT_EQ(y.size(), static_cast<size_t>(n));
+      long double quad = 0.0L;
+      long double quad_abs = 0.0L;
+      for (int r = 0; r < n; ++r) {
+        long double exact = 0.0L;
+        long double abs_sum = 0.0L;
+        for (int c = 0; c < n; ++c) {
+          const long double term = static_cast<long double>(packed.At(r, c)) *
+                                   x[static_cast<size_t>(c)];
+          exact += term;
+          abs_sum += std::fabs(term);
+          quad += term * x[static_cast<size_t>(r)];
+          quad_abs += std::fabs(term * x[static_cast<size_t>(r)]);
+        }
+        ASSERT_LE(std::fabs(y[static_cast<size_t>(r)] - exact), Gamma(n) * abs_sum)
+            << "n=" << n << " trial=" << trial << " r=" << r;
+      }
+      ASSERT_LE(std::fabs(packed.QuadraticForm(x) - quad), Gamma(2 * n + 2) * quad_abs)
+          << "n=" << n << " trial=" << trial;
     }
-    double qp = packed.QuadraticForm(x);
-    double qd = dense.QuadraticForm(x);
-    ASSERT_NEAR(qp, qd, 1e-12 * std::max(1.0, std::abs(qd))) << "n=" << n;
+  }
+}
+
+TEST(PackedSymMatrix, MatVecIsExactOnIntegerEntries) {
+  // Small integers keep every product and partial sum exact, so any
+  // summation order must reproduce the integer mat-vec bit for bit.
+  Rng rng(708);
+  for (int n : kPackedDims) {
+    PackedSymMatrix packed(n);
+    Vector x(static_cast<size_t>(n));
+    auto digit = [&rng] { return static_cast<double>(static_cast<int>(rng.NextUint64(19)) - 9); };
+    for (int r = 0; r < n; ++r) {
+      x[static_cast<size_t>(r)] = digit();
+      for (int c = r; c < n; ++c) packed.At(r, c) = digit();
+    }
+    Vector y;
+    packed.MatVecInto(x, &y);
+    for (int r = 0; r < n; ++r) {
+      double exact = 0.0;
+      for (int c = 0; c < n; ++c) exact += packed.At(r, c) * x[static_cast<size_t>(c)];
+      ASSERT_EQ(y[static_cast<size_t>(r)], exact) << "n=" << n << " r=" << r;
+    }
   }
 }
 
 TEST(PackedSymMatrix, MatPanelMatchesMatVecBitwise) {
-  // Same contract as the dense panel kernel: batching may interleave the
-  // independent per-query chains but never reassociate within one, so each
-  // query is bit-identical to a standalone packed mat-vec. Dims and k cover
-  // the 4-wide blocked path, the remainder path, and their mix.
+  // Batching may interleave the independent per-query chains but never
+  // reassociate within one, so each query is bit-identical to a standalone
+  // packed mat-vec. k = 1…9 covers no full 4-query block, one and two
+  // blocks, and every remainder; 32 is the serving tile.
   Rng rng(808);
-  for (int n : {2, 3, 5, 8, 13, 20, 50}) {
+  for (int n : kPackedDims) {
     PackedSymMatrix packed = PackedSymMatrix::FromDense(RandomSymmetric(n, &rng));
-    for (int k : {1, 2, 4, 7, 32}) {
+    for (int k : {1, 2, 3, 4, 5, 6, 7, 8, 9, 32}) {
       Vector panel(static_cast<size_t>(k) * n);
       for (double& v : panel) v = rng.NextGaussian();
       Vector y(static_cast<size_t>(k) * n, 99.0);  // dirty reused buffer
@@ -371,26 +345,36 @@ TEST(PackedSymMatrix, ZeroQueriesIsANoOp) {
   p.MatPanelInto(nullptr, 0, nullptr);  // k = 0 must not touch the pointers
 }
 
-TEST(PackedSymMatrix, FusedScaleRankOneMatchesDenseUpperTriangleBitwise) {
-  // The packed cut update applies factor·(a_rc − (coef·b_r)·b_c) per stored
-  // entry — the same expression, in the same order, as the dense kernel's
-  // upper triangle. That makes a packed cut sequence bit-identical to a
-  // dense one until the dense side's first 32-cut re-symmetrization.
+TEST(PackedSymMatrix, FusedScaleRankOneMatchesReference) {
+  // Every stored entry must become exactly factor·(a − (coef·b_r)·b_c),
+  // evaluated in that order — checked bitwise against that expression in
+  // plain doubles over 40 chained updates, and within a few ulps of the
+  // long double value of the same update.
   Rng rng(909);
-  for (int n : {2, 3, 5, 8, 13, 20}) {
-    Matrix dense = RandomSymmetric(n, &rng);
+  for (int n : kPackedDims) {
+    Matrix start = RandomSymmetric(n, &rng);
     // Shift to strong diagonal dominance so repeated cuts stay tame.
-    for (int r = 0; r < n; ++r) dense(r, r) += 4.0 * n;
-    PackedSymMatrix packed = PackedSymMatrix::FromDense(dense);
-    for (int cut = 0; cut < 31; ++cut) {  // stay below the symmetrize window
+    for (int r = 0; r < n; ++r) start(r, r) += 4.0 * n;
+    PackedSymMatrix packed = PackedSymMatrix::FromDense(start);
+    for (int cut = 0; cut < 40; ++cut) {
       Vector b = rng.GaussianVector(n);
       double factor = 1.0 + 0.01 * rng.NextDouble();
       double coef = 0.05 * rng.NextDouble();
-      dense.FusedScaleRankOne(factor, coef, b);
+      PackedSymMatrix before = packed;
       packed.FusedScaleRankOne(factor, coef, b);
       for (int r = 0; r < n; ++r) {
         for (int c = r; c < n; ++c) {
-          ASSERT_EQ(packed.At(r, c), dense(r, c))
+          const double a = before.At(r, c);
+          const double br = b[static_cast<size_t>(r)];
+          const double bc = b[static_cast<size_t>(c)];
+          const double expected = factor * (a - (coef * br) * bc);
+          ASSERT_EQ(packed.At(r, c), expected)
+              << "n=" << n << " cut=" << cut << " " << r << "," << c;
+          const long double exact = static_cast<long double>(factor) *
+                                    (a - static_cast<long double>(coef) * br * bc);
+          const double scale =
+              std::fabs(factor) * (std::fabs(a) + std::fabs(coef * br * bc));
+          ASSERT_LE(std::fabs(packed.At(r, c) - exact), Gamma(4) * scale)
               << "n=" << n << " cut=" << cut << " " << r << "," << c;
         }
       }

@@ -141,6 +141,25 @@ TEST(Wire, FrameSplitHandlesPartialAndMalformed) {
   EXPECT_EQ(NextFrame(huge, 0, &payload, &next), FrameResult::kMalformed);
 }
 
+TEST(Wire, CompactConsumedErasesOnlyDrainedOrLargePrefixes) {
+  std::string buffer(100, 'x');
+  size_t offset = 40;  // small consumed prefix, bytes still pending: keep
+  CompactConsumed(&buffer, &offset);
+  EXPECT_EQ(buffer.size(), 100u);
+  EXPECT_EQ(offset, 40u);
+  offset = 100;  // drained: clear
+  CompactConsumed(&buffer, &offset);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(offset, 0u);
+  buffer.assign(kCompactThreshold + 10, 'a');
+  buffer.back() = 'z';
+  offset = kCompactThreshold + 1;  // large prefix: erase it, keep the tail
+  CompactConsumed(&buffer, &offset);
+  EXPECT_EQ(buffer.size(), 9u);
+  EXPECT_EQ(buffer.back(), 'z');
+  EXPECT_EQ(offset, 0u);
+}
+
 // --------------------------------------------------- basic round trips
 
 TEST(TcpServer, PingResolveAndErrorsRoundTrip) {
@@ -755,6 +774,32 @@ TEST(TcpServer, HttpScrapeDuringLoadReconcilesWithClientTally) {
   ASSERT_TRUE(
       metrics::DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
   EXPECT_EQ(dump.CounterValue("pdm_server_connections_total"), 1u);
+  server.Stop();
+}
+
+TEST(TcpServer, DeepPipelineReadsBackInIdOrder) {
+  // 4096 queued pings (the per-wakeup frame cap, so none is shed) come back
+  // in request order through the client's offset-consumed read buffer.
+  Broker broker;
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  constexpr int kPings = 4096;
+  std::vector<uint64_t> ids;
+  ids.reserve(kPings);
+  for (int i = 0; i < kPings; ++i) ids.push_back(client.QueuePing());
+  ASSERT_TRUE(client.Flush().ok());
+  for (int i = 0; i < kPings; ++i) {
+    Response resp;
+    ASSERT_TRUE(client.ReadResponse(&resp).ok()) << "response " << i;
+    ASSERT_EQ(resp.op, Opcode::kPing) << "response " << i;
+    ASSERT_EQ(resp.id, ids[static_cast<size_t>(i)]) << "response " << i;
+    ASSERT_TRUE(resp.status.ok()) << "response " << i;
+  }
+  EXPECT_EQ(server.stats().shed_frames, 0);
+  // The connection stays usable after the pipeline drains.
+  EXPECT_TRUE(client.Ping().ok());
   server.Stop();
 }
 

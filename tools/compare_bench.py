@@ -14,7 +14,7 @@ sets must match in both directions: a series only in BASELINE was silently
 dropped, and a series only in CURRENT is a gate that can never arm until the
 committed baseline adopts it. A non-positive baseline value fails: a broken
 baseline must be re-recorded, not skipped. A latency group whose "count" is 0
-in both documents (the dense series never faults) is not gated; one whose
+in both documents (the resident series never faults) is not gated; one whose
 count fell from positive to 0 stopped recording, and fails.
 
 Absolute numbers only compare within one machine class: when the documents
@@ -50,7 +50,7 @@ FLOOR_SERIES = "own-product/t=4/b=1"
 # read 0.60-1.01, and a floor near the low end would flake.
 FLOOR_EFFICIENCY = 0.5
 FLOOR_MIN_HARDWARE = 4
-PACKED_SERIES, DENSE_SERIES = "packed-cold", "dense-resident"
+COLD_SERIES, RESIDENT_SERIES = "cold", "resident"
 MIN_SAVINGS = 0.35
 
 
@@ -88,27 +88,28 @@ def scaling_floor(doc, rows, path):
 
 
 def savings_gate(doc, rows, path):
-    """The DESIGN.md §12 memory engine's reason to exist: packed+cold-tier
-    steady-state bytes/product beats dense fully-resident by MIN_SAVINGS."""
+    """The DESIGN.md §12 cold tier's reason to exist: with a residency cap,
+    steady-state bytes/product beats every session resident by MIN_SAVINGS
+    (both series store shapes packed)."""
     missing = [f"  {path}: required series {name!r} is missing"
-               for name in (PACKED_SERIES, DENSE_SERIES) if name not in rows]
+               for name in (COLD_SERIES, RESIDENT_SERIES) if name not in rows]
     if missing:
         return missing, None
-    dense = rows[DENSE_SERIES].get("bytes_per_product")
-    packed = rows[PACKED_SERIES].get("bytes_per_product")
-    if dense is None or packed is None:
+    resident = rows[RESIDENT_SERIES].get("bytes_per_product")
+    cold = rows[COLD_SERIES].get("bytes_per_product")
+    if resident is None or cold is None:
         return [f"  {path}: bytes_per_product missing from a series row"], None
-    if dense <= 0:
-        return [f"  {path}: {DENSE_SERIES} bytes_per_product is {dense!r} "
+    if resident <= 0:
+        return [f"  {path}: {RESIDENT_SERIES} bytes_per_product is {resident!r} "
                 "(non-positive) — the document is broken; re-record it"], None
-    savings = 1.0 - packed / dense
+    savings = 1.0 - cold / resident
     if savings < MIN_SAVINGS:
-        return [f"  {path}: packed+cold-tier saves only {100 * savings:.1f}% "
-                f"bytes/product over {DENSE_SERIES} (dense {dense:,.0f} -> "
-                f"packed {packed:,.0f}); the gate requires >= "
+        return [f"  {path}: the cold tier saves only {100 * savings:.1f}% "
+                f"bytes/product over {RESIDENT_SERIES} (resident {resident:,.0f} "
+                f"-> cold {cold:,.0f}); the gate requires >= "
                 f"{100 * MIN_SAVINGS:.0f}%"], None
-    return [], (f"savings gate: {PACKED_SERIES} saves {100 * savings:.1f}% "
-                f"bytes/product over {DENSE_SERIES} (required >= "
+    return [], (f"savings gate: {COLD_SERIES} saves {100 * savings:.1f}% "
+                f"bytes/product over {RESIDENT_SERIES} (required >= "
                 f"{100 * MIN_SAVINGS:.0f}%)")
 
 

@@ -92,10 +92,9 @@ def scrape_text(quotes=1000, accepts=600, rejects=400, protocol_errors=0,
     return "\n".join(lines) + "\n"
 
 
-def memory_series(name, packed, bytes_per_product, fault_count=0, touch_errors=0):
+def memory_series(name, bytes_per_product, fault_count=0, touch_errors=0):
     return {
         "series": name,
-        "packed": packed,
         "bytes_per_product": bytes_per_product,
         "touch_errors": touch_errors,
         "resolve_ns": {"p50": 200, "p99": 900},
@@ -108,15 +107,15 @@ def memory_series(name, packed, bytes_per_product, fault_count=0, touch_errors=0
     }
 
 
-def memory_doc(dense=10000.0, packed=4000.0, hw=4, touch_errors=0,
+def memory_doc(resident=10000.0, cold=4000.0, hw=4, touch_errors=0,
                fault_count=5000):
     return {
         "schema": "pdm.bench_memory.v1",
         "hardware_concurrency": hw,
         "series": [
-            memory_series("packed-cold", True, packed, fault_count=fault_count,
+            memory_series("cold", cold, fault_count=fault_count,
                           touch_errors=touch_errors),
-            memory_series("dense-resident", False, dense),
+            memory_series("resident", resident),
         ],
     }
 
@@ -325,22 +324,22 @@ class CompareScriptTest(unittest.TestCase):
 
     def test_memory_ok(self):
         base = self.write("base.json", memory_doc())
-        cur = self.write("cur.json", memory_doc(dense=10500.0, packed=4100.0))
+        cur = self.write("cur.json", memory_doc(resident=10500.0, cold=4100.0))
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("OK", out)
 
     def test_memory_bytes_per_product_regression_fails(self):
-        base = self.write("base.json", memory_doc(packed=4000.0))
-        cur = self.write("cur.json", memory_doc(packed=6000.0))
+        base = self.write("base.json", memory_doc(cold=4000.0))
+        cur = self.write("cur.json", memory_doc(cold=6000.0))
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("bytes_per_product rose", out)
 
     def test_memory_savings_gate_fails_even_against_matching_baseline(self):
-        """The intra-document gate: packed-cold must beat dense-resident by
-        --min-savings even when CURRENT matches the baseline perfectly."""
-        doc = memory_doc(dense=10000.0, packed=8000.0)  # only 20% savings
+        """The intra-document gate: cold must beat resident by MIN_SAVINGS
+        even when CURRENT matches the baseline perfectly."""
+        doc = memory_doc(resident=10000.0, cold=8000.0)  # only 20% savings
         base = self.write("base.json", doc)
         cur = self.write("cur.json", doc)
         code, out = run(COMPARE, base, cur)
@@ -350,8 +349,8 @@ class CompareScriptTest(unittest.TestCase):
     def test_memory_savings_gate_boundary_at_fixed_threshold(self):
         """The 35% savings floor is a rule-table constant: exactly 35.0%
         passes, 34.9% fails."""
-        for packed, want in ((6500.0, 0), (6510.0, 1)):
-            doc = memory_doc(dense=10000.0, packed=packed)
+        for cold, want in ((6500.0, 0), (6510.0, 1)):
+            doc = memory_doc(resident=10000.0, cold=cold)
             base = self.write("base.json", doc)
             cur = self.write("cur.json", doc)
             code, out = run(COMPARE, base, cur)
@@ -363,29 +362,29 @@ class CompareScriptTest(unittest.TestCase):
         means the cold tier stopped faulting — a disarmed gate, not an
         improvement."""
         base = self.write("base.json", memory_doc(fault_count=5000))
-        cur = self.write("cur.json", memory_doc(fault_count=0, packed=4500.0))
+        cur = self.write("cur.json", memory_doc(fault_count=0, cold=4500.0))
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
-        self.assertIn("packed-cold: fault_in_ns stopped recording", out)
+        self.assertIn("cold: fault_in_ns stopped recording", out)
 
     def test_memory_new_series_in_current_fails(self):
         base = self.write("base.json", memory_doc())
         doc = memory_doc()
-        doc["series"].append(memory_series("packed-resident", True, 5600.0))
+        doc["series"].append(memory_series("warm", 5600.0))
         cur = self.write("cur.json", doc)
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
-        self.assertIn("packed-resident: present in current but missing from "
+        self.assertIn("warm: present in current but missing from "
                       "baseline", out)
 
     def test_memory_missing_required_series_fails(self):
         base = self.write("base.json", memory_doc())
         doc = memory_doc()
-        doc["series"] = [doc["series"][1]]  # drop packed-cold
+        doc["series"] = [doc["series"][1]]  # drop cold
         cur = self.write("cur.json", doc)
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
-        self.assertIn("'packed-cold' is missing", out)
+        self.assertIn("'cold' is missing", out)
 
     def test_memory_touch_errors_fail(self):
         base = self.write("base.json", memory_doc())
@@ -395,7 +394,7 @@ class CompareScriptTest(unittest.TestCase):
         self.assertIn("touch errors", out)
 
     def test_memory_zero_baseline_fails_loudly(self):
-        base = self.write("base.json", memory_doc(dense=0.0))
+        base = self.write("base.json", memory_doc(resident=0.0))
         cur = self.write("cur.json", memory_doc())
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
@@ -412,7 +411,7 @@ class CompareScriptTest(unittest.TestCase):
         self.assertIn("fault_in_ns.p99 rose", out)
 
     def test_memory_empty_fault_histogram_in_both_documents_is_not_a_gate(self):
-        # The dense series never faults; an all-zero fault_in_ns group on
+        # The resident series never faults; an all-zero fault_in_ns group on
         # both sides must not trip the non-positive-baseline check.
         base = self.write("base.json", memory_doc())
         cur = self.write("cur.json", memory_doc())
@@ -423,7 +422,7 @@ class CompareScriptTest(unittest.TestCase):
         # Baseline comparison skipped (different machine class), but the
         # intra-document savings gate still runs — and passes here.
         base = self.write("base.json", memory_doc(hw=1))
-        cur = self.write("cur.json", memory_doc(hw=4, packed=4100.0))
+        cur = self.write("cur.json", memory_doc(hw=4, cold=4100.0))
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 0, out)
         self.assertIn("SKIPPED", out)
@@ -433,14 +432,14 @@ class CompareScriptTest(unittest.TestCase):
 
     def test_memory_hardware_mismatch_still_fails_on_lost_savings(self):
         base = self.write("base.json", memory_doc(hw=1))
-        cur = self.write("cur.json", memory_doc(hw=4, packed=9000.0))
+        cur = self.write("cur.json", memory_doc(hw=4, cold=9000.0))
         code, out = run(COMPARE, base, cur)
         self.assertEqual(code, 1, out)
         self.assertIn("saves only", out)
 
     def test_memory_hardware_mismatch_forced_comparison(self):
-        base = self.write("base.json", memory_doc(hw=1, packed=4000.0))
-        cur = self.write("cur.json", memory_doc(hw=4, packed=6000.0))
+        base = self.write("base.json", memory_doc(hw=1, cold=4000.0))
+        cur = self.write("cur.json", memory_doc(hw=4, cold=6000.0))
         code, out = run(COMPARE, base, cur, "--ignore-hardware-mismatch")
         self.assertEqual(code, 1, out)
         self.assertIn("bytes_per_product rose", out)
