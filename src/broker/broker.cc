@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <string_view>
 #include <utility>
 
 #include "common/check.h"
@@ -20,6 +21,14 @@ namespace {
 /// open at most 2^24 - 2 sessions over its lifetime (slots are tombstoned
 /// on close, never reused).
 constexpr size_t kMaxSessions = (size_t{1} << 24) - 2;
+
+/// Bound on the background writer's backlog: bytes of write-behind spills
+/// queued or in flight. While the backlog is at or above it, request-path
+/// evictions write synchronously instead, as EvictIdleSessions does, so a
+/// disk slower than the eviction rate costs requests latency rather than
+/// unbounded memory. 64 MiB is about 7,500 spills at n=32; the 100k-product
+/// memory soak peaked at 7–27 MiB on a 4-vCPU VM.
+constexpr size_t kMaxSpillBacklogBytes = size_t{64} << 20;
 
 Status StaleHandleError() {
   return Status::NotFound("stale, closed, or foreign product handle");
@@ -54,24 +63,22 @@ BatchScratch& Scratch() {
   return scratch;
 }
 
-/// Crash-consistent spill write (DESIGN.md §14): the bytes land in
-/// `path + ".tmp"`, are fsync'd, and only then atomically renamed over
-/// `path` — a crash at any instant leaves either the old spill, the new
-/// spill, or a sweepable `.tmp` orphan, never a torn file under the real
-/// name. Fault-injection sites mirror the syscalls: spill.open, spill.write
-/// (EIO before any byte), spill.short_write (ENOSPC after a partial write),
-/// spill.fsync, spill.rename.
-bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
+/// Writes `bytes` as the whole content of file `tmp` and closes it; on
+/// failure the file is removed. An existing file is overwritten in place,
+/// reusing its blocks (the writer's pool of free files). Fault sites:
+/// spill.open, spill.write (EIO before any byte), spill.short_write (ENOSPC
+/// after a partial write). With `sync` the file is fsync'd before it is
+/// closed (site spill.fsync).
+bool WriteSpillTmp(const std::string& tmp, std::string_view bytes, bool sync) {
   int fd = -1;
   if (!fault::ShouldFail("spill.open")) {
-    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
   }
   if (fd < 0) return false;
   bool ok = true;
   if (fault::ShouldFail("spill.short_write")) {
     // Simulated ENOSPC: a prefix lands in the tmp file, then the device
-    // fills. The torn bytes never reach `path` — that is the whole point.
+    // fills. The torn bytes never reach the spill name — that is the point.
     ssize_t ignored = ::write(fd, bytes.data(), bytes.size() / 2);
     (void)ignored;
     ok = false;
@@ -88,12 +95,26 @@ bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
     }
     written += static_cast<size_t>(n);
   }
-  if (ok && (fault::ShouldFail("spill.fsync") || ::fsync(fd) != 0)) ok = false;
+  if (ok && ::ftruncate(fd, static_cast<off_t>(bytes.size())) != 0) ok = false;
+  if (ok && sync && (fault::ShouldFail("spill.fsync") || ::fsync(fd) != 0)) ok = false;
   ::close(fd);
-  if (ok && fault::ShouldFail("spill.rename")) ok = false;
-  if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
   if (!ok) ::unlink(tmp.c_str());
   return ok;
+}
+
+/// Crash-consistent spill write (DESIGN.md §14): the bytes land in
+/// `path + ".tmp"`, are fsync'd, and only then atomically renamed over
+/// `path` — a crash at any instant leaves either the old spill, the new
+/// spill, or a sweepable `.tmp` orphan, never a torn file under the real
+/// name. Fault sites: WriteSpillTmp's, then spill.rename.
+bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  if (!WriteSpillTmp(tmp, bytes, /*sync=*/true)) return false;
+  if (fault::ShouldFail("spill.rename") || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 enum class SpillRead { kOk, kMissing, kError };
@@ -103,7 +124,11 @@ enum class SpillRead { kOk, kMissing, kError };
 /// transient I/O failure — the bytes are presumably still on disk.
 SpillRead ReadSpillFile(const std::string& path, std::string* bytes) {
   if (fault::ShouldFail("spill.open")) return SpillRead::kError;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  // O_NOATIME: on a freshly written spill, relatime would dirty the inode,
+  // and that update can wait behind the writer's filesystem sync. It needs
+  // ownership of the file (EPERM otherwise, e.g. an adopted spill).
+  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC | O_NOATIME);
+  if (fd < 0 && errno == EPERM) fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return errno == ENOENT ? SpillRead::kMissing : SpillRead::kError;
   bytes->clear();
   char buf[64 << 10];
@@ -200,9 +225,26 @@ Broker::Broker(const BrokerConfig& config) : config_(config) {
         "restore (nanoseconds).");
   }
   directory_.Publish(std::make_unique<const Directory>());
+  if (!config_.spill_dir.empty()) {
+    spill_writer_ = std::thread([this] { SpillWriterLoop(); });
+  }
 }
 
 Broker::~Broker() {
+  // Stop the writer before any slot goes away. Queued spills are dropped
+  // with the rest of the cold tier below; queued deletions still run.
+  if (spill_writer_.joinable()) {
+    {
+      std::lock_guard lock(writer_mu_);
+      writer_stop_ = true;
+    }
+    writer_wake_.notify_one();
+    spill_writer_.join();
+  }
+  for (const SpillWork& work : writer_queue_) {
+    if (work.bytes == nullptr) ::unlink(SpillPath(work.index).c_str());
+  }
+  for (const std::string& free_file : spill_pool_) ::unlink(free_file.c_str());
   // Slots live in the arena, so ~Broker runs their destructors explicitly
   // (sessions return to the pool through PoolDeleter — both the pool and
   // the arena outlive this loop because the member destructors have not run
@@ -525,6 +567,7 @@ Status Broker::CloseSession(std::string_view product) {
       metrics_.spill.Sub(static_cast<double>(slot->spill_size));
       metrics_.evicted.Sub(1.0);
       slot->spill_size = 0;
+      slot->pending_spill.reset();
       slot->evicted = false;
       slot->quarantined = false;
     } else {
@@ -598,22 +641,27 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   }
   // Timed end to end — spill read, decode, engine rebuild, restore — into
   // the fault-in histogram; this is the latency a request pays when it lands
-  // on a cold session (DESIGN.md §12/§13).
+  // on a cold session (DESIGN.md §12/§13). A spill the background writer
+  // still holds is decoded from memory, with no file read.
   const auto fault_start = std::chrono::steady_clock::now();
   std::string path = SpillPath(index);
-  std::string bytes;
-  switch (ReadSpillFile(path, &bytes)) {
-    case SpillRead::kOk:
-      break;
-    case SpillRead::kMissing:
-      // An evicted slot whose spill vanished has no state left to restore.
-      QuarantineLocked(slot, index);
-      return Status::DataLoss("spill file missing for evicted session");
-    case SpillRead::kError:
-      // The bytes are presumably still on disk — a retry may succeed, so
-      // this is NOT a quarantine.
-      return Status::Unavailable("spill read failed (transient I/O error)");
+  std::shared_ptr<const std::string> pending = std::move(slot->pending_spill);
+  std::string read_bytes;
+  if (pending == nullptr) {
+    switch (ReadSpillFile(path, &read_bytes)) {
+      case SpillRead::kOk:
+        break;
+      case SpillRead::kMissing:
+        // An evicted slot whose spill vanished has no state left to restore.
+        QuarantineLocked(slot, index);
+        return Status::DataLoss("spill file missing for evicted session");
+      case SpillRead::kError:
+        // The bytes are presumably still on disk — a retry may succeed, so
+        // this is NOT a quarantine.
+        return Status::Unavailable("spill read failed (transient I/O error)");
+    }
   }
+  const std::string& bytes = pending != nullptr ? *pending : read_bytes;
   SessionSnapshot snapshot;
   Status decoded = DecodeSessionSnapshot(bytes, &snapshot);
   if (!decoded.ok()) {
@@ -642,8 +690,11 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   }
   slot->session = std::move(session);
   slot->evicted = false;
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
+  // The spill file is spent. Deleting it waits on the filesystem journal
+  // (milliseconds while the writer syncs), so the writer deletes it; a
+  // spill still in flight is deleted after its rename, by the same FIFO.
+  ++slot->queued_deletes;
+  QueueSpillWork(SpillWork{slot, index, nullptr});
   spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
   metrics_.spill.Sub(static_cast<double>(slot->spill_size));
   slot->spill_size = 0;
@@ -727,16 +778,18 @@ void Broker::EnforceResidencyLimit() {
   // than convoying — the cap is a soft target.
   std::unique_lock control(control_mu_, std::try_to_lock);
   if (!control.owns_lock()) return;
-  EvictLocked(limit);
+  EvictLocked(limit, /*write_behind=*/true);
 }
 
 size_t Broker::EvictIdleSessions(size_t max_resident) {
   if (config_.spill_dir.empty()) return 0;
   std::lock_guard control(control_mu_);
-  return EvictLocked(max_resident);
+  // Holding control_mu_ keeps request-path sweeps from queueing more.
+  WaitForSpillWriter();
+  return EvictLocked(max_resident, /*write_behind=*/false);
 }
 
-size_t Broker::EvictLocked(size_t max_resident) {
+size_t Broker::EvictLocked(size_t max_resident, bool write_behind) {
   if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) return 0;
   // Advance the sweep epoch first: sessions touched after this point stamp
   // the new epoch and read as recently-used in this sweep — a CLOCK-style
@@ -777,39 +830,156 @@ size_t Broker::EvictLocked(size_t max_resident) {
       if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold) {
         continue;
       }
-      if (EvictSlotLocked(slot, index)) ++evicted;
+      if (EvictSlotLocked(slot, index, write_behind)) ++evicted;
     }
   }
   return evicted;
 }
 
-bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index) {
+bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index, bool write_behind) {
+  // Past the backlog bound the writer is behind the disk: write here.
+  write_behind = write_behind && spill_backlog_bytes_.load(std::memory_order_relaxed) <
+                                     kMaxSpillBacklogBytes;
+  // A queued deletion of this slot's last spill would remove a synchronous
+  // spill written now; a write-behind spill lands after it in FIFO.
+  if (!write_behind && slot->queued_deletes > 0) return false;
   SessionSnapshot snapshot;
   // Engines without snapshot support (or holding an attached pending round)
   // are skipped — they simply stay resident.
   if (!slot->session->Snapshot(&snapshot).ok()) return false;
   // Spills carry the checksummed pdm.snap.v2 envelope and land through
-  // tmp + fsync + atomic rename (DESIGN.md §14): at no instant does the
-  // spill name reference torn bytes, and once the rename returns the spill
-  // survives kill -9. A failed write keeps the session resident — losing
-  // residency headroom beats losing state.
-  std::string bytes = EncodeSessionSnapshotV2(snapshot);
-  std::string path = SpillPath(index);
-  if (!WriteSpillAtomic(path, bytes)) {
+  // tmp + sync + atomic rename (DESIGN.md §14): at no instant does the
+  // spill name reference torn bytes. A synchronous write that fails keeps
+  // the session resident — losing residency headroom beats losing state.
+  // A write-behind spill is queued instead: until the writer has made it
+  // durable, the slot's `pending_spill` is the session's state.
+  auto bytes = std::make_shared<const std::string>(EncodeSessionSnapshotV2(snapshot));
+  if (write_behind) {
+    slot->pending_spill = bytes;
+    spill_backlog_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
+    QueueSpillWork(SpillWork{slot, index, bytes});
+  } else if (!WriteSpillAtomic(SpillPath(index), *bytes)) {
     metrics_.spill_write_errors.Increment();
     return false;
   }
   slot->session.reset();
   slot->evicted = true;
-  slot->spill_size = bytes.size();
-  spill_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
+  slot->spill_size = bytes->size();
+  spill_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
   resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.spill.Add(static_cast<double>(bytes.size()));
+  metrics_.spill.Add(static_cast<double>(bytes->size()));
   metrics_.resident.Sub(1.0);
   metrics_.evicted.Add(1.0);
   metrics_.evictions.Increment();
   return true;
+}
+
+void Broker::QueueSpillWork(SpillWork work) {
+  bool was_empty;
+  {
+    std::lock_guard lock(writer_mu_);
+    was_empty = writer_queue_.empty();
+    writer_queue_.push_back(std::move(work));
+  }
+  if (was_empty) writer_wake_.notify_one();
+}
+
+void Broker::WaitForSpillWriter() {
+  std::unique_lock lock(writer_mu_);
+  writer_idle_.wait(lock, [this] { return writer_queue_.empty() && !writer_busy_; });
+}
+
+void Broker::SpillWriterLoop() {
+  std::vector<SpillWork> batch;
+  std::vector<uint8_t> ok;
+  std::vector<std::string> tmps;
+  for (;;) {
+    {
+      std::unique_lock lock(writer_mu_);
+      writer_busy_ = false;
+      if (writer_queue_.empty()) writer_idle_.notify_all();
+      writer_wake_.wait(lock,
+                        [this] { return writer_stop_ || !writer_queue_.empty(); });
+      if (writer_stop_) return;
+      batch.swap(writer_queue_);
+      writer_busy_ = true;
+    }
+    // Deletions first: each was queued before any later spill of its slot,
+    // and FIFO order must hold within the batch. A spent spill is not
+    // unlinked: freeing its blocks is the slowest step on a journaling
+    // filesystem, so it is renamed into the pool of free files instead and
+    // overwritten by a later spill, which reuses its blocks.
+    for (const SpillWork& work : batch) {
+      if (work.bytes != nullptr) continue;
+      std::string free_file =
+          config_.spill_dir + "/free-" + std::to_string(spill_pool_names_) + ".tmp";
+      if (::rename(SpillPath(work.index).c_str(), free_file.c_str()) == 0) {
+        spill_pool_.push_back(std::move(free_file));
+        ++spill_pool_names_;
+      }
+      std::lock_guard slot_lock(work.slot->mu);
+      --work.slot->queued_deletes;
+    }
+    // A fault-in, a close or a newer eviction may have superseded a spill
+    // while it waited; only a slot's current pending bytes are written.
+    std::erase_if(batch, [this](const SpillWork& work) {
+      if (work.bytes == nullptr) return true;
+      std::lock_guard slot_lock(work.slot->mu);
+      if (work.slot->pending_spill == work.bytes) return false;
+      spill_backlog_bytes_.fetch_sub(work.bytes->size(), std::memory_order_relaxed);
+      return true;
+    });
+    // Group commit: every spill goes to its own tmp file (a pooled one when
+    // there is one), one syncfs makes all of them durable, the renames
+    // publish them, and one directory fsync makes the renames durable.
+    // Per-file fsyncs would cost a device flush each.
+    ok.assign(batch.size(), 0);
+    tmps.resize(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (spill_pool_.empty()) {
+        tmps[i] = SpillPath(batch[i].index) + ".tmp";
+      } else {
+        tmps[i] = std::move(spill_pool_.back());
+        spill_pool_.pop_back();
+      }
+      ok[i] = WriteSpillTmp(tmps[i], *batch[i].bytes, /*sync=*/false);
+    }
+    const int dir = batch.empty() ? -1
+                                  : ::open(config_.spill_dir.c_str(),
+                                           O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    const bool synced =
+        dir >= 0 && !fault::ShouldFail("spill.fsync") && ::syncfs(dir) == 0;
+    for (size_t i = 0; i < batch.size(); ++i) {
+      if (!ok[i]) continue;
+      if (!synced || fault::ShouldFail("spill.rename") ||
+          ::rename(tmps[i].c_str(), SpillPath(batch[i].index).c_str()) != 0) {
+        ::unlink(tmps[i].c_str());
+        ok[i] = 0;
+      }
+    }
+    if (dir >= 0) {
+      ::fsync(dir);
+      ::close(dir);
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      SessionSlot* slot = batch[i].slot;
+      std::lock_guard slot_lock(slot->mu);
+      if (!ok[i]) {
+        // The bytes stay pending: fault-in still restores from them, they
+        // just are not durable.
+        metrics_.spill_write_errors.Increment();
+      } else if (slot->pending_spill == batch[i].bytes) {
+        slot->pending_spill.reset();  // durable: fault-in now reads the file
+      } else if ((slot->state.load(std::memory_order_relaxed) & 1) == 0) {
+        // Closed while the write was in flight: nothing references the
+        // file. (A fault-in queued its own deletion, which runs later.)
+        ::unlink(SpillPath(batch[i].index).c_str());
+      }
+      spill_backlog_bytes_.fetch_sub(batch[i].bytes->size(), std::memory_order_relaxed);
+    }
+    batch.clear();
+  }
 }
 
 BrokerStats Broker::Stats() const {
@@ -825,6 +995,7 @@ BrokerStats Broker::Stats() const {
   stats.evictions = evictions_.load(std::memory_order_relaxed);
   stats.fault_ins = fault_ins_.load(std::memory_order_relaxed);
   stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
+  stats.spill_backlog_bytes = spill_backlog_bytes_.load(std::memory_order_relaxed);
   for (SessionSlot* slot : dir->slots) {
     if ((slot->state.load(std::memory_order_acquire) & 1) == 0) continue;
     std::lock_guard slot_lock(slot->mu);

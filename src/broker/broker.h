@@ -2,12 +2,14 @@
 #define PDM_BROKER_BROKER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -57,19 +59,26 @@
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
 /// was never evicted. Handles and outstanding tickets remain valid across
-/// the round trip — the slot (and its ticket base) never moves.
+/// the round trip — the slot (and its ticket base) never moves. Evictions
+/// the request path triggers are written behind: the request encodes the
+/// spill and hands it to one background writer thread, which makes batches
+/// of spills durable and deletes spent ones, so no request waits on disk
+/// except to read a spill back.
 
 namespace pdm::broker {
 
 struct BrokerConfig {
   /// Cold-tier spill directory (created on demand). Empty disables the cold
   /// tier entirely: nothing is ever evicted and `max_resident_sessions` is
-  /// ignored.
+  /// ignored. A non-empty directory starts the broker's one background
+  /// spill-writer thread.
   std::string spill_dir;
   /// Soft cap on sessions holding live in-memory engines. 0 = unlimited.
   /// When the resident count exceeds the cap, request-path entry points
   /// trigger an eviction sweep (least-recently-touched first) down to the
-  /// cap. Only registry-opened sessions (those with a rebuild recipe) are
+  /// cap; its spill writes go to the background writer (DESIGN.md §12), so
+  /// the sweep costs the request an encode, not an fsync. Only
+  /// registry-opened sessions (those with a rebuild recipe) are
   /// evictable; sessions opened with caller-built engines always stay
   /// resident, as does any session whose snapshot is not currently capturable.
   size_t max_resident_sessions = 0;
@@ -187,8 +196,12 @@ struct BrokerStats {
   /// Cumulative cold-tier traffic.
   uint64_t evictions = 0;
   uint64_t fault_ins = 0;
-  /// Bytes currently held in spill files.
+  /// Bytes currently held in spill files (including write-behind spills
+  /// not yet on disk).
   size_t spill_bytes = 0;
+  /// Bytes of write-behind spills queued or in flight in the background
+  /// writer (see kMaxSpillBacklogBytes in broker.cc).
+  size_t spill_backlog_bytes = 0;
   /// Ticket slots permanently retired at the generation bound, summed over
   /// resident sessions (evicted sessions' retirements reappear on fault-in).
   int64_t retired_ticket_slots = 0;
@@ -286,6 +299,10 @@ class Broker {
   /// the number evicted. A no-op (returns 0) when the broker has no
   /// spill_dir. Also the manual monitoring hook — the request path calls
   /// the same sweep automatically when `max_resident_sessions` is exceeded.
+  /// Unlike the request-path sweep, this one is synchronous: it first waits
+  /// for the background writer to finish every queued spill, then writes
+  /// each of its own evictions durably before returning, so a failed write
+  /// leaves that session resident.
   size_t EvictIdleSessions(size_t max_resident);
 
   /// Deletes inventoried spill files no OpenSession(s) call has adopted and
@@ -396,6 +413,15 @@ class Broker {
     bool quarantined = false;
     /// Bytes of this slot's spill file (0 unless evicted). Guarded by `mu`.
     size_t spill_size = 0;
+    /// An evicted slot's encoded spill while the background writer has not
+    /// yet made it durable (or its write failed); null once the file is on
+    /// disk and whenever the slot is resident. Fault-in decodes these bytes
+    /// instead of reading the file. Guarded by `mu`.
+    std::shared_ptr<const std::string> pending_spill;
+    /// Spill deletions queued for the writer and not yet run. A synchronous
+    /// eviction skips the slot while any is queued, since the deletion would
+    /// remove the fresh spill. Guarded by `mu`.
+    uint32_t queued_deletes = 0;
     /// Immutable after the slot is published; null for caller-built engines
     /// (such sessions are never evicted).
     std::shared_ptr<const RebuildRecipe> recipe;
@@ -460,11 +486,12 @@ class Broker {
                                std::unique_ptr<PricingEngine> engine,
                                uint64_t ticket_base);
 
-  /// Restores an evicted slot's session from its spill file. Requires
-  /// `slot->mu` held and `slot->evicted`. On failure the slot stays evicted
-  /// and the status says why: Unavailable for a transient read error (the
-  /// bytes are still on disk — a retry may succeed), DataLoss when the spill
-  /// failed checksum/decode/restore and was quarantined (every later touch
+  /// Restores an evicted slot's session from its pending spill bytes, or
+  /// else from its spill file. Requires `slot->mu` held and
+  /// `slot->evicted`. On failure the slot stays evicted and the status says
+  /// why: Unavailable for a transient read error (the bytes are still on
+  /// disk — a retry may succeed), DataLoss when the spill failed
+  /// checksum/decode/restore and was quarantined (every later touch
   /// short-circuits to DataLoss).
   Status FaultInLocked(SessionSlot* slot, size_t index);
 
@@ -492,13 +519,40 @@ class Broker {
   /// behind one sweep).
   void EnforceResidencyLimit();
 
-  /// The sweep core; control_mu_ must be held.
-  size_t EvictLocked(size_t max_resident);
+  /// The sweep core; control_mu_ must be held. `write_behind` queues each
+  /// spill for the background writer instead of writing it here.
+  size_t EvictLocked(size_t max_resident, bool write_behind);
 
-  /// Serializes a resident session to its spill file and drops the
-  /// in-memory state. Requires control_mu_ AND slot->mu held. Returns false
-  /// when the session is not evictable right now.
-  bool EvictSlotLocked(SessionSlot* slot, size_t index);
+  /// Serializes a resident session and drops the in-memory state: with
+  /// `write_behind` the bytes stay on the slot as `pending_spill` and go to
+  /// the writer queue, otherwise they are written durably before this
+  /// returns. Requires control_mu_ AND slot->mu held. Returns false when the
+  /// session is not evictable right now (or the durable write failed).
+  bool EvictSlotLocked(SessionSlot* slot, size_t index, bool write_behind);
+
+  /// One job for the background writer: a write-behind spill (the bytes
+  /// the slot held as its `pending_spill` when it was evicted), or, with
+  /// null `bytes`, the deletion of a spill file a fault-in has spent.
+  struct SpillWork {
+    SessionSlot* slot = nullptr;
+    size_t index = 0;
+    std::shared_ptr<const std::string> bytes;
+  };
+
+  /// Appends to the writer queue and wakes the writer.
+  void QueueSpillWork(SpillWork work);
+
+  /// The background writer's loop (DESIGN.md §12): takes the whole queue at
+  /// once, runs its deletions (moving spent files into its pool of free
+  /// files), drops the spills a fault-in, close or newer eviction already
+  /// superseded, writes the rest into free or new `.tmp` files, makes them
+  /// durable with one filesystem sync, renames them into place, fsyncs the
+  /// directory once, and then clears each still-current slot's
+  /// `pending_spill`.
+  void SpillWriterLoop();
+
+  /// Blocks until the writer queue is empty and no batch is in flight.
+  void WaitForSpillWriter();
 
   /// Instrument handles, resolved once from `config.metrics` at construction
   /// (DESIGN.md §13). Default-constructed handles point at process-wide sink
@@ -565,6 +619,9 @@ class Broker {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> fault_ins_{0};
   std::atomic<size_t> spill_bytes_{0};
+  /// The writer's backlog (BrokerStats::spill_backlog_bytes): added when a
+  /// write-behind spill is queued, subtracted when its batch is done.
+  std::atomic<size_t> spill_backlog_bytes_{0};
   /// Incremental CLOCK hand: the directory index where the next eviction
   /// sweep resumes, so consecutive over-cap faults keep walking forward
   /// instead of rescanning (and re-sorting) the whole slot table from zero.
@@ -580,6 +637,29 @@ class Broker {
   /// Recovery bookkeeping (startup sweep + adoptions). Guarded by control_mu_.
   RecoveryReport recovery_report_;
   Instruments metrics_;
+
+  /// The background writer's queue, filled by request-path sweeps (under
+  /// control_mu_) and fault-ins (under a slot lock), drained by
+  /// `spill_writer_`. Lock order: control_mu_ → slot → writer_mu_; the
+  /// writer takes slot locks only while holding nothing else.
+  std::mutex writer_mu_;
+  /// Signals the writer: work queued or stop requested.
+  std::condition_variable writer_wake_;
+  /// Signals WaitForSpillWriter: the queue drained and the batch finished.
+  std::condition_variable writer_idle_;
+  /// Guarded by writer_mu_.
+  std::vector<SpillWork> writer_queue_;
+  bool writer_busy_ = false;
+  bool writer_stop_ = false;
+  /// Free `*.tmp` files in `spill_dir` that spent spills were renamed to;
+  /// the writer overwrites them for new spills. Writer thread only (and
+  /// ~Broker after the join); the startup sweep deletes any a crash leaves.
+  std::vector<std::string> spill_pool_;
+  /// Names handed out so far, so each free file gets a fresh one.
+  uint64_t spill_pool_names_ = 0;
+  /// Started by the constructor when `spill_dir` is set; joined first thing
+  /// in ~Broker.
+  std::thread spill_writer_;
 };
 
 /// The ticket base a broker assigns to its i-th session (index+1 in the

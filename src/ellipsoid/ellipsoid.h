@@ -62,9 +62,6 @@ class Ellipsoid {
   /// bit-identically — the property the snapshot codec leans on
   /// (`pdm.snap.v1/v2` store shapes dense, DESIGN.md §12).
   Matrix DenseShape() const { return shape_.ToDense(); }
-  /// xᵀ·A·x without materializing A·x (allocation-free; the
-  /// EstimateValueInterval path).
-  double ShapeQuadraticForm(const Vector& x) const { return shape_.QuadraticForm(x); }
 
   /// Computes [p̲, p̄] along x (Lines 5–7 of Algorithm 1). If the quadratic
   /// form underflows to ≤ 0 (a numerically collapsed direction), the interval

@@ -222,6 +222,13 @@ void PackedSymMatrix::MatVecInto(const Vector& x, Vector* y) const {
   PDM_CHECK(static_cast<int>(x.size()) == n_);
   PDM_DCHECK(&x != y);
   y->resize(static_cast<size_t>(n_));
+  if (n_ < 4) {
+    // Below one row block the kernel is TailRows alone; running it inline
+    // skips the target-clone dispatch, with the same op sequence and bits.
+    for (int r = 0; r < n_; ++r) (*y)[static_cast<size_t>(r)] = 0.0;
+    TailRows(data_.data(), 0, n_, x.data(), y->data());
+    return;
+  }
   PackedMatVecKernel(data_.data(), n_, x.data(), y->data());
 }
 

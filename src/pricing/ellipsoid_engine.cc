@@ -275,7 +275,7 @@ ValueInterval EllipsoidPricingEngine::EstimateValueInterval(const Vector& featur
   // midpoint and the quadratic form, not the support direction. Adaptive
   // streams (market/adversarial.h) call this every round.
   double mid = Dot(features, ellipsoid_.center());
-  double quad = ellipsoid_.ShapeQuadraticForm(features);
+  double quad = ellipsoid_.shape().QuadraticForm(features);
   double half = (quad > 0.0 && std::isfinite(quad)) ? std::sqrt(quad) : 0.0;
   return ValueInterval{mid - half, mid + half};
 }

@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -1409,6 +1412,97 @@ TEST(BrokerColdTier, ResidencyLimitEvictsAutomaticallyAndStatsTrackIt) {
     ValueInterval interval;
     EXPECT_TRUE(broker.EstimateValue(name, round.features, &interval).ok());
   }
+}
+
+/// Names of the `slot-*.snap` / `*.tmp` files in `dir`, sorted.
+std::vector<std::string> SpillFiles(const std::string& dir) {
+  std::vector<std::string> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".snap") || name.ends_with(".tmp")) files.push_back(name);
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+TEST(BrokerColdTier, WriteBehindEvictionsPriceLikeNeverEvictedTwinAndLandOnDisk) {
+  // Request-path evictions queue their spills for the background writer,
+  // and a fault-in may decode bytes the writer has not written yet. Neither
+  // may move a bit: with one resident session, every quote matches a twin
+  // that never evicts. Once EvictIdleSessions has drained the writer, every
+  // spill is on disk and decodes to the twin's state, and a destroyed
+  // broker leaves no spill, tmp or pooled free file behind.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("wb/base", 8, 4000, "reserve+uncertainty", 57);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr int kProducts = 5;
+  std::vector<std::string> names;
+  for (int i = 0; i < kProducts; ++i) names.push_back("wb/p" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ColdDir("write_behind");
+  config.max_resident_sessions = 1;
+  {
+    Broker cold(config);
+    Broker hot;
+    ASSERT_TRUE(cold.OpenSessions(names, spec, info).ok());
+    ASSERT_TRUE(hot.OpenSessions(names, spec, info).ok());
+    Rng rng(spec.sim_seed);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    Rng control(77);
+    MarketRound round;
+    for (int step = 0; step < 400; ++step) {
+      const std::string& name = names[control.NextUint64(kProducts)];
+      stream->Next(&rng, &round);
+      Quote cold_quote;
+      Quote hot_quote;
+      ASSERT_TRUE(cold.PostPrice({name, round.features, round.reserve}, &cold_quote).ok());
+      ASSERT_TRUE(hot.PostPrice({name, round.features, round.reserve}, &hot_quote).ok());
+      ASSERT_EQ(cold_quote.ticket, hot_quote.ticket) << "step " << step;
+      ASSERT_EQ(std::bit_cast<uint64_t>(cold_quote.price),
+                std::bit_cast<uint64_t>(hot_quote.price))
+          << "step " << step;
+      const bool accepted = control.NextUint64(3) != 0;
+      ASSERT_TRUE(cold.Observe(cold_quote.ticket, accepted).ok());
+      ASSERT_TRUE(hot.Observe(hot_quote.ticket, accepted).ok());
+    }
+    BrokerStats stats = cold.Stats();
+    EXPECT_GT(stats.fault_ins, 300u);
+    EXPECT_EQ(stats.resident_sessions, 1u);
+
+    ASSERT_EQ(cold.EvictIdleSessions(0), 1u);
+    stats = cold.Stats();
+    EXPECT_EQ(stats.spill_backlog_bytes, 0u);
+    EXPECT_EQ(stats.evicted_sessions, static_cast<size_t>(kProducts));
+    std::vector<std::string> expected;
+    for (size_t i = 0; i < names.size(); ++i) {
+      expected.push_back("slot-" + std::to_string(i) + ".snap");
+    }
+    ASSERT_EQ(SpillFiles(config.spill_dir), expected);
+    for (size_t i = 0; i < names.size(); ++i) {
+      std::ifstream in(config.spill_dir + "/" + expected[i], std::ios::binary);
+      std::string bytes((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+      SessionSnapshot on_disk;
+      ASSERT_TRUE(DecodeSessionSnapshot(bytes, &on_disk).ok()) << expected[i];
+      SessionSnapshot twin;
+      ASSERT_TRUE(hot.Snapshot(names[i], &twin).ok());
+      EXPECT_EQ(EncodeSessionSnapshot(on_disk), EncodeSessionSnapshot(twin)) << names[i];
+    }
+    // Fault every product back in; the writer recycles their spent files
+    // and spills the sessions evicted meanwhile.
+    for (const std::string& name : names) {
+      stream->Next(&rng, &round);
+      Quote quote;
+      ASSERT_TRUE(cold.PostPrice({name, round.features, round.reserve}, &quote).ok());
+      ASSERT_TRUE(cold.Observe(quote.ticket, true).ok());
+    }
+    // Evicts nothing (one session is resident); drains the writer, so the
+    // resident product's spent file has been recycled before teardown.
+    EXPECT_EQ(cold.EvictIdleSessions(kProducts), 0u);
+    EXPECT_EQ(cold.Stats().spill_backlog_bytes, 0u);
+  }
+  EXPECT_TRUE(SpillFiles(config.spill_dir).empty());
 }
 
 /// (θ − c)ᵀA⁻¹(θ − c) for the knowledge set stored in a snapshot.
