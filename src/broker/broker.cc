@@ -23,11 +23,12 @@ namespace {
 constexpr size_t kMaxSessions = (size_t{1} << 24) - 2;
 
 /// Bound on the background writer's backlog: bytes of write-behind spills
-/// queued or in flight. While the backlog is at or above it, request-path
-/// evictions write synchronously instead, as EvictIdleSessions does, so a
-/// disk slower than the eviction rate costs requests latency rather than
-/// unbounded memory. 64 MiB is about 7,500 spills at n=32; the 100k-product
-/// memory soak peaked at 7–27 MiB on a 4-vCPU VM.
+/// queued or in flight. A request-path sweep that starts with the backlog at
+/// or above it commits its own victims instead, as EvictIdleSessions does,
+/// so a disk slower than the eviction rate costs requests latency rather
+/// than unbounded memory. It is also the chunk size of such a sweep's group
+/// commits. 64 MiB is about 7,500 spills at n=32; the 100k-product memory
+/// soak peaked at 7–27 MiB on a 4-vCPU VM.
 constexpr size_t kMaxSpillBacklogBytes = size_t{64} << 20;
 
 Status StaleHandleError() {
@@ -63,26 +64,24 @@ BatchScratch& Scratch() {
   return scratch;
 }
 
-/// Writes `bytes` as the whole content of file `tmp` and closes it; on
-/// failure the file is removed. An existing file is overwritten in place,
-/// reusing its blocks (the writer's pool of free files). Fault sites:
-/// spill.open, spill.write (EIO before any byte), spill.short_write (ENOSPC
-/// after a partial write). With `sync` the file is fsync'd before it is
-/// closed (site spill.fsync).
-bool WriteSpillTmp(const std::string& tmp, std::string_view bytes, bool sync) {
-  int fd = -1;
-  if (!fault::ShouldFail("spill.open")) {
-    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
-  }
-  if (fd < 0) return false;
-  bool ok = true;
-  if (fault::ShouldFail("spill.short_write")) {
+/// Writes `bytes` as the whole content of file `tmp` and closes it. An
+/// existing file is overwritten in place, reusing its blocks (the writer's
+/// pool of free files). On any failure the file is removed, so a pooled
+/// file that fails to open is dropped, not leaked. Fault sites: spill.open,
+/// spill.write (EIO before any byte), spill.short_write (ENOSPC after a
+/// partial write).
+bool WriteSpillTmp(const std::string& tmp, std::string_view bytes) {
+  const int fd = fault::ShouldFail("spill.open")
+                     ? -1
+                     : ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  bool ok = fd >= 0;
+  if (ok && fault::ShouldFail("spill.short_write")) {
     // Simulated ENOSPC: a prefix lands in the tmp file, then the device
     // fills. The torn bytes never reach the spill name — that is the point.
     ssize_t ignored = ::write(fd, bytes.data(), bytes.size() / 2);
     (void)ignored;
     ok = false;
-  } else if (fault::ShouldFail("spill.write")) {
+  } else if (ok && fault::ShouldFail("spill.write")) {
     ok = false;  // simulated EIO before any byte lands
   }
   size_t written = 0;
@@ -96,25 +95,9 @@ bool WriteSpillTmp(const std::string& tmp, std::string_view bytes, bool sync) {
     written += static_cast<size_t>(n);
   }
   if (ok && ::ftruncate(fd, static_cast<off_t>(bytes.size())) != 0) ok = false;
-  if (ok && sync && (fault::ShouldFail("spill.fsync") || ::fsync(fd) != 0)) ok = false;
-  ::close(fd);
+  if (fd >= 0) ::close(fd);
   if (!ok) ::unlink(tmp.c_str());
   return ok;
-}
-
-/// Crash-consistent spill write (DESIGN.md §14): the bytes land in
-/// `path + ".tmp"`, are fsync'd, and only then atomically renamed over
-/// `path` — a crash at any instant leaves either the old spill, the new
-/// spill, or a sweepable `.tmp` orphan, never a torn file under the real
-/// name. Fault sites: WriteSpillTmp's, then spill.rename.
-bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  if (!WriteSpillTmp(tmp, bytes, /*sync=*/true)) return false;
-  if (fault::ShouldFail("spill.rename") || ::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 enum class SpillRead { kOk, kMissing, kError };
@@ -175,7 +158,8 @@ Broker::Broker(const BrokerConfig& config) : config_(config) {
         "Spills that failed checksum/decode/restore and were quarantined.");
     metrics_.spill_write_errors = recovery_gw.GetCounter(
         "pdm_broker_spill_write_errors_total",
-        "Eviction spill writes that failed (session stayed resident).");
+        "Spill writes that failed: a swept session stayed resident, or a "
+        "write-behind spill kept its bytes in memory.");
     metrics_.spill_adopted = recovery_gw.GetCounter(
         "pdm_broker_spill_adopted_total",
         "Pre-crash spills adopted by OpenSession(s) after a restart.");
@@ -325,12 +309,8 @@ void Broker::SweepSpillDirOnStartup() {
     if (name.size() > 4 && name.ends_with(".tmp")) {
       // A torn write from a crashed predecessor: the atomic-rename protocol
       // guarantees nothing under the real spill name references it.
-      size_t size = static_cast<size_t>(fs::file_size(path, file_ec));
-      if (fs::remove(path, file_ec)) {
-        ++recovery_report_.tmp_reclaimed;
-        recovery_report_.bytes_reclaimed += size;
-        metrics_.spill_orphans_reclaimed.Increment();
-      }
+      ReclaimSpillFile(path.string(), static_cast<size_t>(fs::file_size(path, file_ec)),
+                       &recovery_report_.tmp_reclaimed);
       continue;
     }
     const bool from_slot = name.starts_with("slot-") && name.ends_with(".snap");
@@ -356,11 +336,7 @@ void Broker::SweepSpillDirOnStartup() {
       if (file_ec) {
         // Can't move it to safety; reclaiming beats leaving a collision
         // hazard sitting in the live slot namespace.
-        if (fs::remove(path, file_ec)) {
-          ++recovery_report_.orphans_reclaimed;
-          recovery_report_.bytes_reclaimed += bytes.size();
-          metrics_.spill_orphans_reclaimed.Increment();
-        }
+        ReclaimSpillFile(path.string(), bytes.size(), &recovery_report_.orphans_reclaimed);
         continue;
       }
       ++next_recovered;
@@ -372,28 +348,29 @@ void Broker::SweepSpillDirOnStartup() {
     } else {
       // Two spills claiming one product cannot both be right; keep the
       // first, reclaim the duplicate.
-      if (fs::remove(inventory_path, file_ec)) {
-        ++recovery_report_.orphans_reclaimed;
-        recovery_report_.bytes_reclaimed += bytes.size();
-        metrics_.spill_orphans_reclaimed.Increment();
-      }
+      ReclaimSpillFile(inventory_path, bytes.size(), &recovery_report_.orphans_reclaimed);
     }
   }
+}
+
+bool Broker::ReclaimSpillFile(const std::string& path, size_t size, size_t* reclaimed) {
+  std::error_code ec;
+  if (!std::filesystem::remove(path, ec)) return false;
+  ++*reclaimed;
+  recovery_report_.bytes_reclaimed += size;
+  metrics_.spill_orphans_reclaimed.Increment();
+  return true;
 }
 
 size_t Broker::SweepUnclaimedSpills() {
   std::lock_guard control(control_mu_);
   size_t reclaimed = 0;
   for (const auto& [product, spill] : recovered_spills_) {
-    std::error_code ec;
-    if (std::filesystem::remove(spill.path, ec)) {
+    if (ReclaimSpillFile(spill.path, spill.size, &recovery_report_.orphans_reclaimed)) {
       ++reclaimed;
-      recovery_report_.bytes_reclaimed += spill.size;
     }
   }
   recovered_spills_.clear();
-  recovery_report_.orphans_reclaimed += reclaimed;
-  metrics_.spill_orphans_reclaimed.Add(reclaimed);
   return reclaimed;
 }
 
@@ -512,12 +489,8 @@ Status Broker::OpenSessions(std::span<const std::string> products,
         } else {
           // Rename failure falls through to a fresh build; reclaim the
           // recovered file so the directory can't grow across restarts.
-          std::error_code rm_ec;
-          if (std::filesystem::remove(rec->second.path, rm_ec)) {
-            ++recovery_report_.orphans_reclaimed;
-            recovery_report_.bytes_reclaimed += rec->second.size;
-            metrics_.spill_orphans_reclaimed.Increment();
-          }
+          ReclaimSpillFile(rec->second.path, rec->second.size,
+                           &recovery_report_.orphans_reclaimed);
         }
         // Either way the inventory entry is spent.
         recovered_spills_.erase(rec);
@@ -778,7 +751,9 @@ void Broker::EnforceResidencyLimit() {
   // than convoying — the cap is a soft target.
   std::unique_lock control(control_mu_, std::try_to_lock);
   if (!control.owns_lock()) return;
-  EvictLocked(limit, /*write_behind=*/true);
+  // Past the backlog bound the writer is behind the disk: commit here.
+  EvictLocked(limit, /*write_behind=*/spill_backlog_bytes_.load(std::memory_order_relaxed) <
+                  kMaxSpillBacklogBytes);
 }
 
 size_t Broker::EvictIdleSessions(size_t max_resident) {
@@ -799,6 +774,31 @@ size_t Broker::EvictLocked(size_t max_resident, bool write_behind) {
   const size_t n = dir->slots.size();
   if (n == 0) return 0;
   size_t evicted = 0;
+  // Without write-behind, victims wait here, snapshotted and encoded but
+  // still resident, for their chunk's group commit. Each keeps its slot
+  // locked until then, so no touch lands between the snapshot and the drop.
+  std::vector<SpillWork> victims;
+  std::vector<std::unique_lock<std::mutex>> victim_locks;
+  size_t chunk_bytes = 0;
+  auto commit = [&] {
+    CommitSpills(victims);
+    for (const SpillWork& victim : victims) {
+      if (victim.ok) {
+        EvictSlotLocked(victim.slot, victim.bytes->size());
+        ++evicted;
+      } else {
+        // Losing residency headroom beats losing state.
+        metrics_.spill_write_errors.Increment();
+      }
+    }
+    victims.clear();
+    victim_locks.clear();
+    chunk_bytes = 0;
+  };
+  auto over_cap = [&] {
+    return resident_sessions_.load(std::memory_order_relaxed) - victims.size() >
+           max_resident;
+  };
   // Incremental CLOCK hand: resume scanning where the previous sweep stopped
   // instead of rebuilding and sorting an O(N) candidate vector per over-cap
   // fault (the PR8 bottleneck — at 100k products the sort dominated fault-in
@@ -807,15 +807,16 @@ size_t Broker::EvictLocked(size_t max_resident, bool write_behind) {
   // revolution, pass 1 relaxes to everything touched at or before this
   // sweep's start (touched == sweep) — the same candidate set the old sorted
   // sweep considered, minus the exact-staleness ordering, which no caller
-  // depends on.
-  for (int pass = 0; pass < 2; ++pass) {
+  // depends on. Each pass ends with a commit, so pass 1 never meets a slot
+  // this sweep still holds.
+  for (int pass = 0; pass < 2 && over_cap(); ++pass) {
     const uint64_t threshold = sweep - 1 + static_cast<uint64_t>(pass);
-    for (size_t scanned = 0; scanned < n; ++scanned) {
-      if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) {
-        return evicted;
-      }
+    for (size_t scanned = 0; scanned < n && over_cap(); ++scanned) {
       const size_t index = clock_hand_ % n;  // directory can grow between sweeps
       clock_hand_ = (clock_hand_ + 1) % n;
+      // A chunk takes its victims' locks in increasing slot order, so it
+      // commits where the hand wraps, and once its bytes reach the bound.
+      if (index == 0 || chunk_bytes >= kMaxSpillBacklogBytes) commit();
       SessionSlot* slot = dir->slots[index];
       if ((slot->state.load(std::memory_order_acquire) & 1) == 0) continue;
       if (slot->recipe == nullptr) continue;  // caller-built: not evictable
@@ -824,55 +825,76 @@ size_t Broker::EvictLocked(size_t max_resident, bool write_behind) {
       if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold) {
         continue;
       }
-      std::lock_guard slot_lock(slot->mu);
+      std::unique_lock slot_lock(slot->mu);
       if ((slot->state.load(std::memory_order_relaxed) & 1) == 0) continue;
       if (slot->evicted || slot->session == nullptr) continue;
       if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold) {
         continue;
       }
-      if (EvictSlotLocked(slot, index, write_behind)) ++evicted;
+      // A queued deletion of this slot's last spill would remove a spill
+      // committed now; a write-behind spill lands after it in FIFO.
+      if (!write_behind && slot->queued_deletes > 0) continue;
+      SessionSnapshot snapshot;
+      // Engines without snapshot support (or holding an attached pending
+      // round) are skipped — they simply stay resident.
+      if (!slot->session->Snapshot(&snapshot).ok()) continue;
+      // Spills carry the checksummed pdm.snap.v2 envelope. A write-behind
+      // spill is queued: until the writer has committed it, the slot's
+      // `pending_spill` is the session's state.
+      auto bytes = std::make_shared<const std::string>(EncodeSessionSnapshotV2(snapshot));
+      if (write_behind) {
+        slot->pending_spill = bytes;
+        spill_backlog_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
+        QueueSpillWork(SpillWork{slot, index, bytes});
+        EvictSlotLocked(slot, bytes->size());
+        ++evicted;
+        continue;
+      }
+      chunk_bytes += bytes->size();
+      victims.push_back(SpillWork{slot, index, std::move(bytes)});
+      victim_locks.push_back(std::move(slot_lock));
     }
+    commit();
   }
   return evicted;
 }
 
-bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index, bool write_behind) {
-  // Past the backlog bound the writer is behind the disk: write here.
-  write_behind = write_behind && spill_backlog_bytes_.load(std::memory_order_relaxed) <
-                                     kMaxSpillBacklogBytes;
-  // A queued deletion of this slot's last spill would remove a synchronous
-  // spill written now; a write-behind spill lands after it in FIFO.
-  if (!write_behind && slot->queued_deletes > 0) return false;
-  SessionSnapshot snapshot;
-  // Engines without snapshot support (or holding an attached pending round)
-  // are skipped — they simply stay resident.
-  if (!slot->session->Snapshot(&snapshot).ok()) return false;
-  // Spills carry the checksummed pdm.snap.v2 envelope and land through
-  // tmp + sync + atomic rename (DESIGN.md §14): at no instant does the
-  // spill name reference torn bytes. A synchronous write that fails keeps
-  // the session resident — losing residency headroom beats losing state.
-  // A write-behind spill is queued instead: until the writer has made it
-  // durable, the slot's `pending_spill` is the session's state.
-  auto bytes = std::make_shared<const std::string>(EncodeSessionSnapshotV2(snapshot));
-  if (write_behind) {
-    slot->pending_spill = bytes;
-    spill_backlog_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
-    QueueSpillWork(SpillWork{slot, index, bytes});
-  } else if (!WriteSpillAtomic(SpillPath(index), *bytes)) {
-    metrics_.spill_write_errors.Increment();
-    return false;
-  }
+void Broker::EvictSlotLocked(SessionSlot* slot, size_t spill_size) {
   slot->session.reset();
   slot->evicted = true;
-  slot->spill_size = bytes->size();
-  spill_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
+  slot->spill_size = spill_size;
+  spill_bytes_.fetch_add(spill_size, std::memory_order_relaxed);
   resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.spill.Add(static_cast<double>(bytes->size()));
+  metrics_.spill.Add(static_cast<double>(spill_size));
   metrics_.resident.Sub(1.0);
   metrics_.evicted.Add(1.0);
   metrics_.evictions.Increment();
-  return true;
+}
+
+void Broker::CommitSpills(std::span<SpillWork> spills) {
+  if (spills.empty()) return;
+  for (SpillWork& spill : spills) {
+    if (spill.tmp.empty()) spill.tmp = SpillPath(spill.index) + ".tmp";
+    spill.ok = WriteSpillTmp(spill.tmp, *spill.bytes);
+  }
+  const int dir = ::open(config_.spill_dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool synced = dir >= 0 && !fault::ShouldFail("spill.fsync") && ::syncfs(dir) == 0;
+  for (SpillWork& spill : spills) {
+    if (!spill.ok) continue;
+    spill.ok = synced && !fault::ShouldFail("spill.rename") &&
+               ::rename(spill.tmp.c_str(), SpillPath(spill.index).c_str()) == 0;
+    if (!spill.ok) ::unlink(spill.tmp.c_str());
+  }
+  // Renames that never became durable publish nothing: a crash may undo
+  // them, so they fail exactly like a failed syncfs.
+  if (dir < 0 || fault::ShouldFail("spill.dir_fsync") || ::fsync(dir) != 0) {
+    for (SpillWork& spill : spills) {
+      if (spill.ok) ::unlink(SpillPath(spill.index).c_str());
+      spill.ok = false;
+    }
+  }
+  if (dir >= 0) ::close(dir);
 }
 
 void Broker::QueueSpillWork(SpillWork work) {
@@ -892,8 +914,6 @@ void Broker::WaitForSpillWriter() {
 
 void Broker::SpillWriterLoop() {
   std::vector<SpillWork> batch;
-  std::vector<uint8_t> ok;
-  std::vector<std::string> tmps;
   for (;;) {
     {
       std::unique_lock lock(writer_mu_);
@@ -930,42 +950,17 @@ void Broker::SpillWriterLoop() {
       spill_backlog_bytes_.fetch_sub(work.bytes->size(), std::memory_order_relaxed);
       return true;
     });
-    // Group commit: every spill goes to its own tmp file (a pooled one when
-    // there is one), one syncfs makes all of them durable, the renames
-    // publish them, and one directory fsync makes the renames durable.
-    // Per-file fsyncs would cost a device flush each.
-    ok.assign(batch.size(), 0);
-    tmps.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (spill_pool_.empty()) {
-        tmps[i] = SpillPath(batch[i].index) + ".tmp";
-      } else {
-        tmps[i] = std::move(spill_pool_.back());
-        spill_pool_.pop_back();
-      }
-      ok[i] = WriteSpillTmp(tmps[i], *batch[i].bytes, /*sync=*/false);
+    // A spill overwrites a pooled free file while there is one, reusing
+    // its blocks.
+    for (size_t i = 0; i < batch.size() && !spill_pool_.empty(); ++i) {
+      batch[i].tmp = std::move(spill_pool_.back());
+      spill_pool_.pop_back();
     }
-    const int dir = batch.empty() ? -1
-                                  : ::open(config_.spill_dir.c_str(),
-                                           O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-    const bool synced =
-        dir >= 0 && !fault::ShouldFail("spill.fsync") && ::syncfs(dir) == 0;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (!ok[i]) continue;
-      if (!synced || fault::ShouldFail("spill.rename") ||
-          ::rename(tmps[i].c_str(), SpillPath(batch[i].index).c_str()) != 0) {
-        ::unlink(tmps[i].c_str());
-        ok[i] = 0;
-      }
-    }
-    if (dir >= 0) {
-      ::fsync(dir);
-      ::close(dir);
-    }
+    CommitSpills(batch);
     for (size_t i = 0; i < batch.size(); ++i) {
       SessionSlot* slot = batch[i].slot;
       std::lock_guard slot_lock(slot->mu);
-      if (!ok[i]) {
+      if (!batch[i].ok) {
         // The bytes stay pending: fault-in still restores from them, they
         // just are not durable.
         metrics_.spill_write_errors.Increment();

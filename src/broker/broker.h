@@ -63,7 +63,9 @@
 /// the request path triggers are written behind: the request encodes the
 /// spill and hands it to one background writer thread, which makes batches
 /// of spills durable and deletes spent ones, so no request waits on disk
-/// except to read a spill back.
+/// except to read a spill back. Every spill, written behind or not, is
+/// published by one group commit: tmp files, one `syncfs`, renames, one
+/// directory fsync (DESIGN.md §14).
 
 namespace pdm::broker {
 
@@ -77,7 +79,9 @@ struct BrokerConfig {
   /// When the resident count exceeds the cap, request-path entry points
   /// trigger an eviction sweep (least-recently-touched first) down to the
   /// cap; its spill writes go to the background writer (DESIGN.md §12), so
-  /// the sweep costs the request an encode, not an fsync. Only
+  /// the sweep costs the request an encode, not an fsync (unless the
+  /// writer's backlog is at its bound, when the sweep commits its victims
+  /// itself, as EvictIdleSessions does). Only
   /// registry-opened sessions (those with a rebuild recipe) are
   /// evictable; sessions opened with caller-built engines always stay
   /// resident, as does any session whose snapshot is not currently capturable.
@@ -300,9 +304,9 @@ class Broker {
   /// spill_dir. Also the manual monitoring hook — the request path calls
   /// the same sweep automatically when `max_resident_sessions` is exceeded.
   /// Unlike the request-path sweep, this one is synchronous: it first waits
-  /// for the background writer to finish every queued spill, then writes
-  /// each of its own evictions durably before returning, so a failed write
-  /// leaves that session resident.
+  /// for the background writer to finish every queued spill, then commits
+  /// its own victims' spills in group commits before returning, so a failed
+  /// commit leaves those sessions resident.
   size_t EvictIdleSessions(size_t max_resident);
 
   /// Deletes inventoried spill files no OpenSession(s) call has adopted and
@@ -418,9 +422,9 @@ class Broker {
     /// disk and whenever the slot is resident. Fault-in decodes these bytes
     /// instead of reading the file. Guarded by `mu`.
     std::shared_ptr<const std::string> pending_spill;
-    /// Spill deletions queued for the writer and not yet run. A synchronous
-    /// eviction skips the slot while any is queued, since the deletion would
-    /// remove the fresh spill. Guarded by `mu`.
+    /// Spill deletions queued for the writer and not yet run. A sweep that
+    /// commits its own spills skips the slot while any is queued, since the
+    /// deletion would remove the fresh spill. Guarded by `mu`.
     uint32_t queued_deletes = 0;
     /// Immutable after the slot is published; null for caller-built engines
     /// (such sessions are never evicted).
@@ -513,31 +517,60 @@ class Broker {
   /// Spill file for slot `index`.
   std::string SpillPath(size_t index) const;
 
+  /// Deletes a leftover spill or tmp file of `size` bytes and books it:
+  /// `*reclaimed` (a recovery_report_ count), the reclaimed bytes and the
+  /// orphan metric. Returns whether the file was deleted. Requires
+  /// control_mu_ held (or the constructor's exclusive access).
+  bool ReclaimSpillFile(const std::string& path, size_t size, size_t* reclaimed);
+
   /// Request-path residency enforcement: when the resident count exceeds
   /// the configured cap, runs one eviction sweep. Called with NO locks held
   /// (takes control_mu_ with try-lock so concurrent requests never convoy
   /// behind one sweep).
   void EnforceResidencyLimit();
 
-  /// The sweep core; control_mu_ must be held. `write_behind` queues each
-  /// spill for the background writer instead of writing it here.
+  /// The sweep core; control_mu_ must be held. Each victim is snapshotted
+  /// and encoded under its slot lock. With `write_behind` its bytes stay on
+  /// the slot as `pending_spill`, go to the writer queue, and the engine is
+  /// dropped at once. Otherwise the sweep keeps the victim locked and
+  /// resident until the group commit of its chunk (up to
+  /// kMaxSpillBacklogBytes of spills, ending where the CLOCK hand wraps or
+  /// a pass ends), then drops the engines whose spills committed; a victim
+  /// whose spill failed stays resident and counts a write error.
   size_t EvictLocked(size_t max_resident, bool write_behind);
 
-  /// Serializes a resident session and drops the in-memory state: with
-  /// `write_behind` the bytes stay on the slot as `pending_spill` and go to
-  /// the writer queue, otherwise they are written durably before this
-  /// returns. Requires control_mu_ AND slot->mu held. Returns false when the
-  /// session is not evictable right now (or the durable write failed).
-  bool EvictSlotLocked(SessionSlot* slot, size_t index, bool write_behind);
+  /// Drops a resident session whose spill (`spill_size` bytes) is pending
+  /// or committed, and accounts the eviction. Requires control_mu_ AND
+  /// slot->mu held.
+  void EvictSlotLocked(SessionSlot* slot, size_t spill_size);
 
-  /// One job for the background writer: a write-behind spill (the bytes
-  /// the slot held as its `pending_spill` when it was evicted), or, with
-  /// null `bytes`, the deletion of a spill file a fault-in has spent.
+  /// One spill for CommitSpills, or one job for the background writer: a
+  /// write-behind spill (the bytes the slot held as its `pending_spill`
+  /// when it was evicted), or, with null `bytes`, the deletion of a spill
+  /// file a fault-in has spent.
   struct SpillWork {
-    SessionSlot* slot = nullptr;
-    size_t index = 0;
+    SessionSlot* slot;
+    size_t index;
     std::shared_ptr<const std::string> bytes;
+    SpillWork(SessionSlot* s, size_t i, std::shared_ptr<const std::string> b)
+        : slot(s), index(i), bytes(std::move(b)) {}
+    /// The file the bytes go to before the rename: a pooled free file, or
+    /// empty for `SpillPath(index) + ".tmp"`. Set by CommitSpills.
+    std::string tmp;
+    /// The outcome, set by CommitSpills.
+    bool ok = false;
   };
+
+  /// The one routine that publishes spill files (DESIGN.md §14), a group
+  /// commit: every spill goes to its tmp file, one syncfs of the spill
+  /// directory's filesystem makes all of them durable, the renames publish
+  /// them, and one fsync of the directory makes the renames durable. At no
+  /// instant does a spill name reference torn bytes; per-file fsyncs would
+  /// cost a device flush each. A spill that fails at any step is left under
+  /// neither name, with `ok` false. Fault sites: spill.open, spill.write,
+  /// spill.short_write (the tmp write), then spill.fsync, spill.rename and
+  /// spill.dir_fsync. Takes no lock.
+  void CommitSpills(std::span<SpillWork> spills);
 
   /// Appends to the writer queue and wakes the writer.
   void QueueSpillWork(SpillWork work);
@@ -545,10 +578,8 @@ class Broker {
   /// The background writer's loop (DESIGN.md §12): takes the whole queue at
   /// once, runs its deletions (moving spent files into its pool of free
   /// files), drops the spills a fault-in, close or newer eviction already
-  /// superseded, writes the rest into free or new `.tmp` files, makes them
-  /// durable with one filesystem sync, renames them into place, fsyncs the
-  /// directory once, and then clears each still-current slot's
-  /// `pending_spill`.
+  /// superseded, group-commits the rest through free or new `.tmp` files,
+  /// and then clears each still-current slot's `pending_spill`.
   void SpillWriterLoop();
 
   /// Blocks until the writer queue is empty and no batch is in flight.
@@ -591,6 +622,18 @@ class Broker {
   /// Serializes directory mutations (open/close) and eviction sweeps; never
   /// taken on the request path (fault-in included). Session-state mutations
   /// (Restore, feedback) need only the slot lock.
+  ///
+  /// Lock order: control_mu_ → slot → {arena_mu_, writer_mu_}. Only the
+  /// holder of control_mu_ ever holds two slot locks at once: a sweep that
+  /// commits its own spills keeps every victim of a chunk locked until the
+  /// commit, and takes them in increasing slot order (a chunk ends where
+  /// the CLOCK hand wraps). That is deadlock-free because no other thread
+  /// takes a second slot lock — request paths (batches included) and
+  /// Stats() hold one slot at a time, the writer takes slot locks only
+  /// while holding nothing else, and a thread holding a slot lock waits
+  /// only on the leaf locks arena_mu_ and writer_mu_, never on control_mu_
+  /// (request-path sweeps run before any slot is acquired, and with a
+  /// try-lock).
   mutable std::mutex control_mu_;
   /// Backing store for slot and session objects (DESIGN.md §12): slots are
   /// bump-allocated and live until ~Broker; session objects recycle through
@@ -640,8 +683,7 @@ class Broker {
 
   /// The background writer's queue, filled by request-path sweeps (under
   /// control_mu_) and fault-ins (under a slot lock), drained by
-  /// `spill_writer_`. Lock order: control_mu_ → slot → writer_mu_; the
-  /// writer takes slot locks only while holding nothing else.
+  /// `spill_writer_` (lock order at control_mu_).
   std::mutex writer_mu_;
   /// Signals the writer: work queued or stop requested.
   std::condition_variable writer_wake_;

@@ -12,6 +12,8 @@
 #include <poll.h>
 #include <sys/socket.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -320,30 +322,180 @@ TEST(BrokerChaosTest, MissingSpillSurfacesDataLoss) {
   EXPECT_TRUE(broker.CloseSession("chaos/gone").ok());
 }
 
-TEST(BrokerChaosTest, InjectedSpillWriteFailureKeepsSessionResident) {
+/// Names of the files in `dir` that end in `.tmp`.
+std::vector<std::string> TmpFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".tmp")) names.push_back(name);
+  }
+  return names;
+}
+
+/// Asserts that `product` is in the same state on `cold` and its
+/// never-evicted twin `hot`: equal snapshot bytes, and one more quote with
+/// the same ticket and the same price bits.
+void ExpectTwinsMatch(Broker* cold, Broker* hot, StreamFactory* factory,
+                      const ScenarioSpec& spec, const std::string& product) {
+  SessionSnapshot cold_snap;
+  SessionSnapshot hot_snap;
+  ASSERT_TRUE(cold->Snapshot(product, &cold_snap).ok());
+  ASSERT_TRUE(hot->Snapshot(product, &hot_snap).ok());
+  EXPECT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap));
+  Rng rng(spec.sim_seed + 1);
+  std::unique_ptr<QueryStream> stream = factory->CreateStream(spec, &rng);
+  MarketRound round;
+  stream->Next(&rng, &round);
+  Quote cold_quote;
+  Quote hot_quote;
+  ASSERT_TRUE(cold->PostPrice({product, round.features, round.reserve}, &cold_quote).ok());
+  ASSERT_TRUE(hot->PostPrice({product, round.features, round.reserve}, &hot_quote).ok());
+  EXPECT_EQ(cold_quote.ticket, hot_quote.ticket);
+  EXPECT_EQ(std::bit_cast<uint64_t>(cold_quote.price),
+            std::bit_cast<uint64_t>(hot_quote.price));
+}
+
+/// A fault site as a file-name and test-name fragment (`spill_write`).
+std::string SiteTag(const char* site) {
+  std::string tag = site;
+  std::replace(tag.begin(), tag.end(), '.', '_');
+  return tag;
+}
+
+/// Every fault site of the one spill commit routine: the tmp write's three,
+/// then syncfs, rename and the directory fsync.
+class SpillCommitFaultTest : public testing::TestWithParam<const char*> {};
+
+TEST_P(SpillCommitFaultTest, FailedEvictionKeepsSessionResident) {
   FaultGuard guard;
   StreamFactory factory;
   metrics::MetricRegistry registry;
   ScenarioSpec spec = LinearSpec("chaos/wfail", 6, 2000, "reserve", 25);
   BrokerConfig config;
-  config.spill_dir = ChaosDir("wfail");
+  config.spill_dir = ChaosDir("wfail_" + SiteTag(GetParam()));
   config.metrics = &registry;
   Broker broker(config);
+  Broker hot;  // never evicts
   ASSERT_TRUE(broker.OpenSession("chaos/w0", spec, factory.Prepare(spec)).ok());
+  ASSERT_TRUE(hot.OpenSession("chaos/w0", spec, factory.Prepare(spec)).ok());
   DriveRounds(&broker, &factory, spec, "chaos/w0", 10);
+  DriveRounds(&hot, &factory, spec, "chaos/w0", 10);
 
-  FaultInjector::Global().TriggerOnHit("spill.write", 1);
+  FaultInjector::Global().TriggerOnHit(GetParam(), 1);
   FaultInjector::Global().Arm(3);
   EXPECT_EQ(broker.EvictIdleSessions(0), 0u);  // write failed → not evicted
   EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
             1u);
   EXPECT_EQ(broker.Stats().resident_sessions, 1u);
+  // The failed commit published nothing and left no tmp file behind.
+  EXPECT_TRUE(TmpFiles(config.spill_dir).empty());
+  EXPECT_FALSE(std::filesystem::exists(config.spill_dir + "/slot-0.snap"));
 
   // The session still serves, and a later (fault-free) eviction succeeds.
   FaultInjector::Global().Disarm();
   DriveRounds(&broker, &factory, spec, "chaos/w0", 5);
+  DriveRounds(&hot, &factory, spec, "chaos/w0", 5);
   EXPECT_EQ(broker.EvictIdleSessions(0), 1u);
   DriveRounds(&broker, &factory, spec, "chaos/w0", 5);  // faults back in
+  DriveRounds(&hot, &factory, spec, "chaos/w0", 5);
+  ExpectTwinsMatch(&broker, &hot, &factory, spec, "chaos/w0");
+}
+
+TEST_P(SpillCommitFaultTest, FailedWriteBehindSpillStaysPendingAndFaultsIn) {
+  // A request-path eviction with a write-behind spill: the session is
+  // evicted at once, and a failed commit keeps its bytes in memory, where
+  // the next touch restores them bit-identically. A caller-built session
+  // (never evictable) drives the sweeps, so no fault-in reads a spill file
+  // while the site is armed.
+  FaultGuard guard;
+  StreamFactory factory;
+  metrics::MetricRegistry registry;
+  ScenarioSpec spec = LinearSpec("chaos/wbfail", 6, 2000, "reserve", 27);
+  WorkloadInfo info = factory.Prepare(spec);
+  BrokerConfig config;
+  config.spill_dir = ChaosDir("wbfail_" + SiteTag(GetParam()));
+  config.max_resident_sessions = 1;
+  config.metrics = &registry;
+  {
+    Broker broker(config);
+    Broker hot;  // never evicts
+    ASSERT_TRUE(broker.OpenSession("chaos/v0", spec, info).ok());
+    ASSERT_TRUE(hot.OpenSession("chaos/v0", spec, info).ok());
+    ASSERT_TRUE(broker
+                    .OpenSession("chaos/pinned",
+                                 scenario::MechanismRegistry::Builtin().Build(spec, info))
+                    .ok());
+    // Every request evicts chaos/v0 behind and faults it back in. The
+    // direct eviction puts a spill on disk, so its fault-in leaves a free
+    // file in the writer's pool for the armed commit to overwrite.
+    DriveRounds(&broker, &factory, spec, "chaos/v0", 10);
+    DriveRounds(&hot, &factory, spec, "chaos/v0", 10);
+    ASSERT_EQ(broker.EvictIdleSessions(1), 1u);
+    DriveRounds(&broker, &factory, spec, "chaos/v0", 5);
+    DriveRounds(&hot, &factory, spec, "chaos/v0", 5);
+    ASSERT_EQ(broker.EvictIdleSessions(2), 0u);  // drains the writer
+    ASSERT_EQ(broker.Stats().resident_sessions, 2u);
+
+    FaultInjector::Global().TriggerOnHit(GetParam(), 1);
+    FaultInjector::Global().Arm(3);
+    Rng rng(spec.sim_seed + 2);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    MarketRound round;
+    stream->Next(&rng, &round);
+    Quote quote;
+    ASSERT_TRUE(
+        broker.PostPrice({"chaos/pinned", round.features, round.reserve}, &quote).ok());
+    EXPECT_EQ(broker.EvictIdleSessions(2), 0u);  // drains the failed commit
+    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
+              1u);
+    BrokerStats stats = broker.Stats();
+    EXPECT_EQ(stats.evicted_sessions, 1u);
+    EXPECT_EQ(stats.spill_backlog_bytes, 0u);
+    // The bytes live only in memory: no spill under the slot's name.
+    EXPECT_FALSE(std::filesystem::exists(config.spill_dir + "/slot-0.snap"));
+
+    FaultInjector::Global().Disarm();
+    DriveRounds(&broker, &factory, spec, "chaos/v0", 5);  // faults in from memory
+    DriveRounds(&hot, &factory, spec, "chaos/v0", 5);
+    ExpectTwinsMatch(&broker, &hot, &factory, spec, "chaos/v0");
+  }
+  // Nothing leaks past the broker, pooled free files included.
+  EXPECT_TRUE(TmpFiles(config.spill_dir).empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(EverySite, SpillCommitFaultTest,
+                         testing::Values("spill.open", "spill.write", "spill.short_write",
+                                         "spill.fsync", "spill.rename", "spill.dir_fsync"),
+                         [](const testing::TestParamInfo<const char*>& info) {
+                           return SiteTag(info.param);
+                         });
+
+TEST(BrokerChaosTest, EvictIdleSessionsSyncsOncePerGroupCommit) {
+  // One sweep publishes all its spills in one group commit: one syncfs for
+  // eight spills, so a fault scripted on the second sync never fires.
+  FaultGuard guard;
+  StreamFactory factory;
+  metrics::MetricRegistry registry;
+  ScenarioSpec spec = LinearSpec("chaos/group", 6, 2000, "reserve", 29);
+  std::vector<std::string> names;
+  for (int i = 0; i < 8; ++i) names.push_back("chaos/g" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ChaosDir("group");
+  config.metrics = &registry;
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSessions(names, spec, factory.Prepare(spec)).ok());
+
+  FaultInjector::Global().TriggerOnHit("spill.fsync", 2);
+  FaultInjector::Global().Arm(5);
+  EXPECT_EQ(broker.EvictIdleSessions(0), 8u);
+  EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), 1u);
+  EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
+            0u);
+  for (size_t i = 0; i < names.size(); ++i) {
+    EXPECT_TRUE(std::filesystem::exists(config.spill_dir + "/slot-" +
+                                        std::to_string(i) + ".snap"));
+  }
 }
 
 TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans) {
