@@ -23,12 +23,13 @@ namespace {
 constexpr size_t kMaxSessions = (size_t{1} << 24) - 2;
 
 /// Bound on the background writer's backlog: bytes of write-behind spills
-/// queued or in flight. A request-path sweep that starts with the backlog at
-/// or above it commits its own victims instead, as EvictIdleSessions does,
-/// so a disk slower than the eviction rate costs requests latency rather
-/// than unbounded memory. It is also the chunk size of such a sweep's group
-/// commits. 64 MiB is about 7,500 spills at n=32; the 100k-product memory
-/// soak peaked at 7–27 MiB on a 4-vCPU VM.
+/// still in memory (queued, in flight, or pending after a failed write). A
+/// request-path sweep that starts with the backlog at or above it commits
+/// its own victims instead, as EvictIdleSessions does, so a disk slower
+/// than the eviction rate costs requests latency rather than unbounded
+/// memory. It is also the chunk size of such a sweep's group commits.
+/// 64 MiB is about 7,500 spills at n=32; the 100k-product memory soak
+/// peaked at 7–27 MiB on a 4-vCPU VM.
 constexpr size_t kMaxSpillBacklogBytes = size_t{64} << 20;
 
 Status StaleHandleError() {
@@ -840,18 +841,25 @@ size_t Broker::EvictLocked(size_t max_resident, bool write_behind) {
       if (!slot->session->Snapshot(&snapshot).ok()) continue;
       // Spills carry the checksummed pdm.snap.v2 envelope. A write-behind
       // spill is queued: until the writer has committed it, the slot's
-      // `pending_spill` is the session's state.
-      auto bytes = std::make_shared<const std::string>(EncodeSessionSnapshotV2(snapshot));
+      // `pending_spill` is the session's state. Its bytes count toward the
+      // backlog until their last holder drops them.
+      std::string encoded = EncodeSessionSnapshotV2(snapshot);
       if (write_behind) {
+        spill_backlog_bytes_.fetch_add(encoded.size(), std::memory_order_relaxed);
+        std::shared_ptr<const std::string> bytes(
+            new std::string(std::move(encoded)), [this](const std::string* spent) {
+              spill_backlog_bytes_.fetch_sub(spent->size(), std::memory_order_relaxed);
+              delete spent;
+            });
         slot->pending_spill = bytes;
-        spill_backlog_bytes_.fetch_add(bytes->size(), std::memory_order_relaxed);
         QueueSpillWork(SpillWork{slot, index, bytes});
         EvictSlotLocked(slot, bytes->size());
         ++evicted;
         continue;
       }
-      chunk_bytes += bytes->size();
-      victims.push_back(SpillWork{slot, index, std::move(bytes)});
+      chunk_bytes += encoded.size();
+      victims.push_back(
+          SpillWork{slot, index, std::make_shared<const std::string>(std::move(encoded))});
       victim_locks.push_back(std::move(slot_lock));
     }
     commit();
@@ -943,12 +951,10 @@ void Broker::SpillWriterLoop() {
     }
     // A fault-in, a close or a newer eviction may have superseded a spill
     // while it waited; only a slot's current pending bytes are written.
-    std::erase_if(batch, [this](const SpillWork& work) {
+    std::erase_if(batch, [](const SpillWork& work) {
       if (work.bytes == nullptr) return true;
       std::lock_guard slot_lock(work.slot->mu);
-      if (work.slot->pending_spill == work.bytes) return false;
-      spill_backlog_bytes_.fetch_sub(work.bytes->size(), std::memory_order_relaxed);
-      return true;
+      return work.slot->pending_spill != work.bytes;
     });
     // A spill overwrites a pooled free file while there is one, reusing
     // its blocks.
@@ -961,8 +967,8 @@ void Broker::SpillWriterLoop() {
       SessionSlot* slot = batch[i].slot;
       std::lock_guard slot_lock(slot->mu);
       if (!batch[i].ok) {
-        // The bytes stay pending: fault-in still restores from them, they
-        // just are not durable.
+        // The bytes stay pending, and counted in the backlog: fault-in
+        // still restores from them, they just are not durable.
         metrics_.spill_write_errors.Increment();
       } else if (slot->pending_spill == batch[i].bytes) {
         slot->pending_spill.reset();  // durable: fault-in now reads the file
@@ -971,7 +977,6 @@ void Broker::SpillWriterLoop() {
         // file. (A fault-in queued its own deletion, which runs later.)
         ::unlink(SpillPath(batch[i].index).c_str());
       }
-      spill_backlog_bytes_.fetch_sub(batch[i].bytes->size(), std::memory_order_relaxed);
     }
     batch.clear();
   }

@@ -203,8 +203,9 @@ struct BrokerStats {
   /// Bytes currently held in spill files (including write-behind spills
   /// not yet on disk).
   size_t spill_bytes = 0;
-  /// Bytes of write-behind spills queued or in flight in the background
-  /// writer (see kMaxSpillBacklogBytes in broker.cc).
+  /// Bytes of write-behind spills still in memory: queued or in flight in
+  /// the background writer, or kept pending after a failed write (see
+  /// kMaxSpillBacklogBytes in broker.cc).
   size_t spill_backlog_bytes = 0;
   /// Ticket slots permanently retired at the generation bound, summed over
   /// resident sessions (evicted sessions' retirements reappear on fault-in).
@@ -662,8 +663,12 @@ class Broker {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> fault_ins_{0};
   std::atomic<size_t> spill_bytes_{0};
-  /// The writer's backlog (BrokerStats::spill_backlog_bytes): added when a
-  /// write-behind spill is queued, subtracted when its batch is done.
+  /// The writer's backlog (BrokerStats::spill_backlog_bytes): the bytes of
+  /// write-behind spills still in memory. Added when one is encoded and
+  /// subtracted by its bytes' deleter, when the last holder — the writer's
+  /// queue or batch, the slot's `pending_spill`, a fault-in — drops them. A
+  /// spill whose write failed stays pending, so it stays counted until a
+  /// fault-in or a close releases it.
   std::atomic<size_t> spill_backlog_bytes_{0};
   /// Incremental CLOCK hand: the directory index where the next eviction
   /// sweep resumes, so consecutive over-cap faults keep walking forward

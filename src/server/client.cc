@@ -18,11 +18,6 @@ using pdm::broker::HandleRequest;
 using pdm::broker::ProductHandle;
 using pdm::broker::Quote;
 
-void PutFeatures(WireWriter* w, std::span<const double> features) {
-  w->PutU32(static_cast<uint32_t>(features.size()));
-  for (double v : features) w->PutF64(v);
-}
-
 /// splitmix64 step: the backoff jitter stream.
 uint64_t NextRandom(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
@@ -81,35 +76,20 @@ void Client::BackoffSleep() {
 
 uint64_t Client::QueuePostPrice(ProductHandle handle, std::span<const double> features,
                                 double reserve) {
-  uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kPostPrice, id);
-  w.PutU32(handle.index);
-  w.PutU32(handle.generation);
-  w.PutF64(reserve);
-  PutFeatures(&w, features);
-  w.EndFrame(frame);
+  const uint64_t id = NextId();
+  EncodePostPrice(&queued_, id, {handle, features, reserve});
   return id;
 }
 
 uint64_t Client::QueueObserve(uint64_t ticket, bool accepted) {
-  uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kObserve, id);
-  w.PutU64(ticket);
-  w.PutU8(accepted ? 1 : 0);
-  w.EndFrame(frame);
+  const uint64_t id = NextId();
+  EncodeObserve(&queued_, id, {ticket, accepted});
   return id;
 }
 
 uint64_t Client::QueuePing() {
-  uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kPing, id);
-  w.EndFrame(frame);
+  const uint64_t id = NextId();
+  EncodeRequest(&queued_, Opcode::kPing, id);
   return id;
 }
 
@@ -196,109 +176,12 @@ Status Client::ReadResponse(Response* out) {
   std::string payload;
   Status s = ReadFrame(&payload);
   if (!s.ok()) return s;
-
-  WireReader r(payload);
-  uint8_t op_byte, code_byte;
-  if (!r.GetU8(&op_byte) || !r.GetU64(&out->id) || !r.GetU8(&code_byte)) {
-    return Status::FailedPrecondition("truncated response header");
-  }
-  out->op = static_cast<Opcode>(op_byte);
-  StatusCode code = StatusCodeFromWire(code_byte);
-  out->quotes.clear();
-  out->codes.clear();
-
-  auto decode_error = [] { return Status::FailedPrecondition("malformed response body"); };
-
   // Connection-level error frame (opcode 0, id 0): the server's last word
   // before it closes the connection — framing violation, idle reap. It does
   // not answer any request, so it surfaces on the transport channel (the
   // returned Status), not as an op outcome, and the connection is dropped.
-  if (op_byte == 0) {
-    std::string_view message;
-    Disconnect();
-    if (!r.GetString(&message)) return decode_error();
-    return Status(code,
-                  std::string("server error frame: ") + std::string(message));
-  }
-
-  // Batch ops always carry message + per-item results regardless of status.
-  if (out->op == Opcode::kPostPrices) {
-    std::string_view message;
-    uint32_t count;
-    if (!r.GetString(&message) || !r.GetU32(&count)) return decode_error();
-    out->status = code == StatusCode::kOk ? Status::Ok()
-                                          : Status(code, std::string(message));
-    out->quotes.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint8_t flags, item_code;
-      if (!r.GetU64(&out->quotes[i].ticket) || !r.GetF64(&out->quotes[i].price) ||
-          !r.GetU8(&flags) || !r.GetU8(&item_code)) {
-        return decode_error();
-      }
-      out->quotes[i].exploratory = (flags & kQuoteExploratory) != 0;
-      out->quotes[i].certain_no_sale = (flags & kQuoteCertainNoSale) != 0;
-      out->quotes[i].status = StatusCodeFromWire(item_code);
-    }
-    return Status::Ok();
-  }
-  if (out->op == Opcode::kObserves) {
-    std::string_view message;
-    uint32_t count;
-    if (!r.GetString(&message) || !r.GetU32(&count)) return decode_error();
-    out->status = code == StatusCode::kOk ? Status::Ok()
-                                          : Status(code, std::string(message));
-    out->codes.resize(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      uint8_t item_code;
-      if (!r.GetU8(&item_code)) return decode_error();
-      out->codes[i] = StatusCodeFromWire(item_code);
-    }
-    return Status::Ok();
-  }
-
-  // Single ops: non-OK carries the message; OK carries the op body.
-  if (code != StatusCode::kOk) {
-    std::string_view message;
-    if (!r.GetString(&message)) return decode_error();
-    out->status = Status(code, std::string(message));
-    return Status::Ok();
-  }
-  out->status = Status::Ok();
-  switch (out->op) {
-    case Opcode::kPing:
-    case Opcode::kObserve:
-      return r.AtEnd() ? Status::Ok() : decode_error();
-    case Opcode::kGetMetrics: {
-      std::string_view dump;
-      if (!r.GetString(&dump) || !r.AtEnd()) return decode_error();
-      Status decoded = metrics::DecodeMetricsDump(dump, &out->metrics);
-      if (!decoded.ok()) return decoded;
-      return Status::Ok();
-    }
-    case Opcode::kResolve:
-      if (!r.GetU32(&out->handle.index) || !r.GetU32(&out->handle.generation)) {
-        return decode_error();
-      }
-      return Status::Ok();
-    case Opcode::kPostPrice: {
-      uint8_t flags;
-      if (!r.GetU64(&out->quote.ticket) || !r.GetF64(&out->quote.price) ||
-          !r.GetU8(&flags)) {
-        return decode_error();
-      }
-      out->quote.exploratory = (flags & kQuoteExploratory) != 0;
-      out->quote.certain_no_sale = (flags & kQuoteCertainNoSale) != 0;
-      out->quote.status = StatusCode::kOk;
-      return Status::Ok();
-    }
-    case Opcode::kEstimateValue:
-      if (!r.GetF64(&out->interval.lower) || !r.GetF64(&out->interval.upper)) {
-        return decode_error();
-      }
-      return Status::Ok();
-    default:
-      return decode_error();
-  }
+  if (payload.starts_with('\0')) Disconnect();
+  return DecodeResponse(payload, out);
 }
 
 // ----------------------------------------------------- synchronous calls
@@ -336,12 +219,7 @@ Status Client::Transact(bool idempotent, std::string_view frame, Response* resp)
 
 Status Client::Ping() {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPing, NextId());
-    w.EndFrame(f);
-  }
+  EncodeRequest(&frame, Opcode::kPing, NextId());
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
   if (!s.ok()) return s;
@@ -350,13 +228,7 @@ Status Client::Ping() {
 
 Status Client::Resolve(std::string_view product, ProductHandle* handle) {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kResolve, NextId());
-    w.PutString(product);
-    w.EndFrame(f);
-  }
+  EncodeResolve(&frame, NextId(), product);
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
   if (!s.ok()) return s;
@@ -367,16 +239,7 @@ Status Client::Resolve(std::string_view product, ProductHandle* handle) {
 Status Client::PostPrice(ProductHandle handle, std::span<const double> features,
                          double reserve, Quote* quote) {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPostPrice, NextId());
-    w.PutU32(handle.index);
-    w.PutU32(handle.generation);
-    w.PutF64(reserve);
-    PutFeatures(&w, features);
-    w.EndFrame(f);
-  }
+  EncodePostPrice(&frame, NextId(), {handle, features, reserve});
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame, &resp);
   if (!s.ok()) return s;
@@ -392,14 +255,7 @@ Status Client::PostPrice(ProductHandle handle, std::span<const double> features,
 
 Status Client::Observe(uint64_t ticket, bool accepted) {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kObserve, NextId());
-    w.PutU64(ticket);
-    w.PutU8(accepted ? 1 : 0);
-    w.EndFrame(f);
-  }
+  EncodeObserve(&frame, NextId(), {ticket, accepted});
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame, &resp);
   if (!s.ok()) return s;
@@ -408,12 +264,7 @@ Status Client::Observe(uint64_t ticket, bool accepted) {
 
 Status Client::GetMetrics(metrics::MetricsDump* out) {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kGetMetrics, NextId());
-    w.EndFrame(f);
-  }
+  EncodeRequest(&frame, Opcode::kGetMetrics, NextId());
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
   if (!s.ok()) return s;
@@ -424,15 +275,7 @@ Status Client::GetMetrics(metrics::MetricsDump* out) {
 Status Client::EstimateValue(ProductHandle handle, std::span<const double> features,
                              ValueInterval* out) {
   std::string frame;
-  {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kEstimateValue, NextId());
-    w.PutU32(handle.index);
-    w.PutU32(handle.generation);
-    PutFeatures(&w, features);
-    w.EndFrame(f);
-  }
+  EncodeEstimateValue(&frame, NextId(), handle, features);
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
   if (!s.ok()) return s;
@@ -445,22 +288,10 @@ Status Client::PostPrices(std::span<const HandleRequest> requests,
   if (requests.size() != quotes.size()) {
     return Status::InvalidArgument("requests/quotes size mismatch");
   }
-  std::string frame_bytes;
-  {
-    WireWriter w(&frame_bytes);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPostPrices, NextId());
-    w.PutU32(static_cast<uint32_t>(requests.size()));
-    for (const HandleRequest& req : requests) {
-      w.PutU32(req.handle.index);
-      w.PutU32(req.handle.generation);
-      w.PutF64(req.reserve);
-      PutFeatures(&w, req.features);
-    }
-    w.EndFrame(f);
-  }
+  std::string frame;
+  EncodePostPrices(&frame, NextId(), requests);
   Response resp;
-  Status s = Transact(/*idempotent=*/false, frame_bytes, &resp);
+  Status s = Transact(/*idempotent=*/false, frame, &resp);
   if (!s.ok()) return s;
   if (resp.quotes.size() == quotes.size()) {
     for (size_t i = 0; i < quotes.size(); ++i) quotes[i] = resp.quotes[i];
@@ -473,20 +304,10 @@ Status Client::Observes(std::span<const FeedbackRequest> feedback,
   if (!codes.empty() && codes.size() != feedback.size()) {
     return Status::InvalidArgument("feedback/codes size mismatch");
   }
-  std::string frame_bytes;
-  {
-    WireWriter w(&frame_bytes);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kObserves, NextId());
-    w.PutU32(static_cast<uint32_t>(feedback.size()));
-    for (const FeedbackRequest& fb : feedback) {
-      w.PutU64(fb.ticket);
-      w.PutU8(fb.accepted ? 1 : 0);
-    }
-    w.EndFrame(f);
-  }
+  std::string frame;
+  EncodeObserves(&frame, NextId(), feedback);
   Response resp;
-  Status s = Transact(/*idempotent=*/false, frame_bytes, &resp);
+  Status s = Transact(/*idempotent=*/false, frame, &resp);
   if (!s.ok()) return s;
   if (!codes.empty() && resp.codes.size() == codes.size()) {
     for (size_t i = 0; i < codes.size(); ++i) codes[i] = resp.codes[i];

@@ -5,7 +5,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "broker/broker.h"
 #include "common/status.h"
@@ -16,7 +15,8 @@
 /// \file
 /// Blocking `pdm.wire.v1` client (DESIGN.md §10).
 ///
-/// Two surfaces over one connection:
+/// Two surfaces over one connection, sharing one encoder per request and
+/// one response decoder (server/wire.h):
 ///
 ///  * Synchronous calls (`Resolve`, `PostPrice`, `Observe`, ...) mirror the
 ///    `Broker` method signatures one-to-one: send one frame, wait for its
@@ -24,11 +24,13 @@
 ///    these calls is bit-identical to driving the broker in-process
 ///    (tests/server_test.cc).
 ///
-///  * Pipelined calls (`QueuePostPrice`/`QueueObserve` + `Flush` +
-///    `ReadResponse`) queue many frames before writing, letting the server
+///  * Pipelined calls (`QueuePing`/`QueuePostPrice`/`QueueObserve` + `Flush`
+///    + `ReadResponse`) queue many frames before writing, letting the server
 ///    coalesce the run into batched broker calls; `ReadResponse` decodes
 ///    responses in server order (which is request order). The load
-///    generator and the coalescing tests live on this surface.
+///    generator and the coalescing tests live on this surface. A queued
+///    frame is, id aside, byte for byte the frame its synchronous twin
+///    sends.
 ///
 /// A `Client` is single-threaded by contract — one connection, one request
 /// stream. Concurrency is modeled as one Client per thread (the server
@@ -62,20 +64,6 @@ struct ClientConfig {
   int backoff_cap_ms = 2000;
   /// Seed for the backoff jitter stream (deterministic tests).
   uint64_t jitter_seed = 0x853c49e6748fea9bULL;
-};
-
-/// One decoded response frame (union-style: the fields that matter depend
-/// on `op`; `status` is always meaningful).
-struct Response {
-  Opcode op = Opcode::kPing;
-  uint64_t id = 0;
-  Status status;
-  broker::Quote quote;                 ///< kPostPrice
-  broker::ProductHandle handle;        ///< kResolve
-  ValueInterval interval;              ///< kEstimateValue
-  std::vector<broker::Quote> quotes;   ///< kPostPrices
-  std::vector<StatusCode> codes;       ///< kObserves
-  metrics::MetricsDump metrics;        ///< kGetMetrics
 };
 
 class Client {

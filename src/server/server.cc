@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -13,87 +14,8 @@
 #include "common/status.h"
 
 namespace pdm::server {
-namespace {
 
-using pdm::broker::FeedbackRequest;
-using pdm::broker::HandleRequest;
-using pdm::broker::ProductHandle;
-using pdm::broker::Quote;
-
-/// Fixed request/response header: u8 opcode + u64 request id.
-constexpr size_t kHeaderBytes = 1 + 8;
-
-uint8_t QuoteFlags(const Quote& q) {
-  uint8_t flags = 0;
-  if (q.exploratory) flags |= kQuoteExploratory;
-  if (q.certain_no_sale) flags |= kQuoteCertainNoSale;
-  return flags;
-}
-
-/// Single-op error response: header + message string.
-void WriteError(std::string* out, Opcode op, uint64_t id, StatusCode code,
-                std::string_view message) {
-  WireWriter w(out);
-  size_t frame = w.BeginFrame();
-  w.PutResponseHeader(op, id, code);
-  w.PutString(message);
-  w.EndFrame(frame);
-}
-
-/// Single kPostPrice OK response.
-void WriteQuote(std::string* out, uint64_t id, const Quote& q) {
-  WireWriter w(out);
-  size_t frame = w.BeginFrame();
-  w.PutResponseHeader(Opcode::kPostPrice, id, StatusCode::kOk);
-  w.PutU64(q.ticket);
-  w.PutF64(q.price);
-  w.PutU8(QuoteFlags(q));
-  w.EndFrame(frame);
-}
-
-/// Decoded single price request (the coalescable op). `features` indexes
-/// into the caller's scratch, resolved to spans once the scratch is final.
-struct PriceFrame {
-  uint64_t id = 0;
-  ProductHandle handle;
-  double reserve = 0.0;
-  size_t features_at = 0;
-  size_t features_len = 0;
-};
-
-/// Decodes the body of one kPostPrice request, appending features to
-/// `*scratch`. False on a malformed body.
-bool DecodePriceBody(WireReader* r, std::vector<double>* scratch, PriceFrame* out) {
-  uint32_t n;
-  if (!r->GetU32(&out->handle.index)) return false;
-  if (!r->GetU32(&out->handle.generation)) return false;
-  if (!r->GetF64(&out->reserve)) return false;
-  if (!r->GetU32(&n)) return false;
-  if (r->remaining() < size_t{n} * 8) return false;
-  out->features_at = scratch->size();
-  out->features_len = n;
-  for (uint32_t i = 0; i < n; ++i) {
-    double v;
-    r->GetF64(&v);
-    scratch->push_back(v);
-  }
-  return r->AtEnd();
-}
-
-struct ObserveFrame {
-  uint64_t id = 0;
-  FeedbackRequest feedback;
-};
-
-bool DecodeObserveBody(WireReader* r, ObserveFrame* out) {
-  uint8_t accepted;
-  if (!r->GetU64(&out->feedback.ticket)) return false;
-  if (!r->GetU8(&accepted)) return false;
-  out->feedback.accepted = accepted != 0;
-  return r->AtEnd();
-}
-
-}  // namespace
+using broker::ProductHandle;
 
 /// One accepted connection: nonblocking socket plus buffered frame I/O.
 struct TcpServer::Connection {
@@ -265,8 +187,8 @@ void TcpServer::EventLoop() {
         if (conn->dead || conn->scrape) continue;
         if (now - conn->last_activity < limit) continue;
         if (!conn->close_after_flush) {
-          WriteError(&conn->out, static_cast<Opcode>(0), 0,
-                     StatusCode::kUnavailable, "connection closed: idle timeout");
+          EncodeError(&conn->out, static_cast<Opcode>(0), 0,
+                      StatusCode::kUnavailable, "connection closed: idle timeout");
           (void)FlushWrites(conn.get());
         }
         conn->dead = true;
@@ -447,8 +369,8 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
   // is garbage by definition and is discarded unparsed.
   auto violated = [&](std::string_view reason) {
     metrics_.protocol_errors.Increment();
-    WriteError(&conn->out, static_cast<Opcode>(0), 0,
-               StatusCode::kInvalidArgument, reason);
+    EncodeError(&conn->out, static_cast<Opcode>(0), 0,
+                StatusCode::kInvalidArgument, reason);
     conn->close_after_flush = true;
     conn->in.clear();
     conn->in_offset = 0;
@@ -457,7 +379,7 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
 
   // Split out every complete frame first: coalescing needs to see the whole
   // pipelined run, not one frame at a time.
-  std::vector<std::string_view> frames;
+  frames_.clear();
   size_t offset = conn->in_offset;
   for (;;) {
     std::string_view payload;
@@ -467,15 +389,16 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
       return violated("framing violation: oversized frame length");
     }
     if (r == FrameResult::kNeedMore) break;
-    frames.push_back(payload);
+    frames_.push_back(payload);
     offset = next;
   }
 
   size_t at = 0;
-  while (at < frames.size()) {
+  while (at < frames_.size()) {
     // A frame too short for the fixed header cannot be answered (there is
     // no id to echo) — that is a framing violation.
-    if (frames[at].size() < kHeaderBytes) {
+    RequestFrame frame;
+    if (!DecodeRequestHeader(frames_[at], &frame)) {
       return violated("framing violation: frame shorter than request header");
     }
     // Overload shedding (§14): past either cap, answer ResourceExhausted
@@ -487,21 +410,16 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
     const bool over_inflight =
         config_.max_inflight_frames != 0 && at >= config_.max_inflight_frames;
     if (over_backlog || over_inflight) {
-      WireReader r(frames[at]);
-      uint8_t op = 0;
-      uint64_t id = 0;
-      r.GetU8(&op);
-      r.GetU64(&id);
-      WriteError(&conn->out, static_cast<Opcode>(op), id,
-                 StatusCode::kResourceExhausted,
-                 over_backlog ? "server overloaded: response backlog over cap"
-                              : "server overloaded: pipelined frames over cap");
+      EncodeError(&conn->out, static_cast<Opcode>(frame.op), frame.id,
+                  StatusCode::kResourceExhausted,
+                  over_backlog ? "server overloaded: response backlog over cap"
+                               : "server overloaded: pipelined frames over cap");
       metrics_.shed_frames.Increment();
       ++at;
       continue;
     }
     const auto run_start = std::chrono::steady_clock::now();
-    at += ServeRun(conn, frames, at);
+    at += ServeRun(conn, frame, at);
     metrics_.request_ns.Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - run_start)
@@ -513,288 +431,132 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
   return true;
 }
 
-size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>& frames,
-                           size_t at) {
-  const uint8_t op = static_cast<uint8_t>(frames[at][0]);
-
-  // Coalescing: a pipelined run of single-op kPostPrice (kObserve) frames
-  // becomes one batched broker call — one session-lock acquisition per run.
-  // A frame of another opcode, a short header, or a malformed body ends the
-  // run; the run is only taken when at least two frames qualify.
-  if (op == static_cast<uint8_t>(Opcode::kPostPrice)) {
-    std::vector<double> scratch;
-    std::vector<PriceFrame> run;
-    size_t taken = at;
-    while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
-           static_cast<uint8_t>(frames[taken][0]) == op) {
-      WireReader r(frames[taken]);
-      uint8_t opcode;
-      PriceFrame pf;
-      r.GetU8(&opcode);
-      r.GetU64(&pf.id);
-      if (!DecodePriceBody(&r, &scratch, &pf)) break;
-      run.push_back(pf);
-      ++taken;
-    }
-    if (run.size() >= 2) {
-      std::vector<HandleRequest> requests(run.size());
-      std::vector<Quote> quotes(run.size());
-      for (size_t i = 0; i < run.size(); ++i) {
-        requests[i].handle = run[i].handle;
-        requests[i].reserve = run[i].reserve;
-        requests[i].features = std::span<const double>(
-            scratch.data() + run[i].features_at, run[i].features_len);
-      }
-      (void)broker_->PostPrices(requests, quotes);
-      for (size_t i = 0; i < run.size(); ++i) {
-        if (quotes[i].status == StatusCode::kOk) {
-          WriteQuote(&conn->out, run[i].id, quotes[i]);
-        } else {
-          WriteError(&conn->out, Opcode::kPostPrice, run[i].id, quotes[i].status,
-                     std::string("batched request failed: ") +
-                         StatusCodeName(quotes[i].status));
-        }
-      }
-      metrics_.frames_by_op[op].Add(run.size());
-      metrics_.frames_coalesced.Add(run.size());
-      metrics_.coalesced_runs.Increment();
-      return run.size();
-    }
-  } else if (op == static_cast<uint8_t>(Opcode::kObserve)) {
-    std::vector<ObserveFrame> run;
-    size_t taken = at;
-    while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
-           static_cast<uint8_t>(frames[taken][0]) == op) {
-      WireReader r(frames[taken]);
-      uint8_t opcode;
-      ObserveFrame of;
-      r.GetU8(&opcode);
-      r.GetU64(&of.id);
-      if (!DecodeObserveBody(&r, &of)) break;
-      run.push_back(of);
-      ++taken;
-    }
-    if (run.size() >= 2) {
-      std::vector<FeedbackRequest> feedback(run.size());
-      std::vector<StatusCode> codes(run.size());
-      for (size_t i = 0; i < run.size(); ++i) feedback[i] = run[i].feedback;
-      (void)broker_->Observes(feedback, codes);
-      for (size_t i = 0; i < run.size(); ++i) {
-        if (codes[i] == StatusCode::kOk) {
-          WireWriter w(&conn->out);
-          size_t frame = w.BeginFrame();
-          w.PutResponseHeader(Opcode::kObserve, run[i].id, StatusCode::kOk);
-          w.EndFrame(frame);
-        } else {
-          WriteError(&conn->out, Opcode::kObserve, run[i].id, codes[i],
-                     std::string("batched request failed: ") + StatusCodeName(codes[i]));
-        }
-      }
-      metrics_.frames_by_op[op].Add(run.size());
-      metrics_.frames_coalesced.Add(run.size());
-      metrics_.coalesced_runs.Increment();
-      return run.size();
-    }
+size_t TcpServer::ServeRun(Connection* conn, const RequestFrame& first, size_t at) {
+  const uint8_t op = first.op;
+  if (op != static_cast<uint8_t>(Opcode::kPostPrice) &&
+      op != static_cast<uint8_t>(Opcode::kObserve)) {
+    ServeFrame(conn, first);
+    return 1;
   }
-
-  ServeFrame(conn, frames[at]);
-  return 1;
+  // Every kPostPrice (kObserve) frame is served as part of a run — the
+  // frames of that opcode from `at` on whose bodies decode — through one
+  // batched broker call: one session-lock acquisition per run, and a lone
+  // frame is a run of one. A frame of another opcode, a short header or a
+  // malformed body ends the run.
+  const bool price = op == static_cast<uint8_t>(Opcode::kPostPrice);
+  run_ids_.clear();
+  prices_.clear();
+  feedback_.clear();
+  for (size_t i = at; i < frames_.size(); ++i) {
+    RequestFrame frame;
+    if (!DecodeRequestHeader(frames_[i], &frame) || frame.op != op) break;
+    if (!(price ? DecodePostPrice(frame.body, &prices_)
+                : DecodeObserve(frame.body, &feedback_))) {
+      break;
+    }
+    run_ids_.push_back(frame.id);
+  }
+  const size_t n = run_ids_.size();
+  metrics_.frames_by_op[op].Add(std::max<size_t>(n, 1));
+  if (n == 0) {
+    EncodeError(&conn->out, static_cast<Opcode>(op), first.id,
+                StatusCode::kInvalidArgument, "malformed request body");
+    return 1;
+  }
+  if (n >= 2) {
+    metrics_.frames_coalesced.Add(n);
+    metrics_.coalesced_runs.Increment();
+  }
+  Status batch;
+  if (price) {
+    quotes_.assign(n, broker::Quote{});
+    batch = broker_->PostPrices(prices_.requests, quotes_);
+  } else {
+    codes_.assign(n, StatusCode::kOk);
+    batch = broker_->Observes(feedback_, codes_);
+  }
+  // Per-frame answers. The failure at the batch's first-error position
+  // carries the broker's message, exactly as the scalar call would; later
+  // failures name their code.
+  bool first_failure = true;
+  for (size_t i = 0; i < n; ++i) {
+    const StatusCode code = price ? quotes_[i].status : codes_[i];
+    if (code == StatusCode::kOk) {
+      if (price) {
+        EncodeQuote(&conn->out, run_ids_[i], quotes_[i]);
+      } else {
+        EncodeOk(&conn->out, Opcode::kObserve, run_ids_[i]);
+      }
+      continue;
+    }
+    EncodeError(&conn->out, static_cast<Opcode>(op), run_ids_[i], code,
+                first_failure ? batch.message()
+                              : std::string("batched request failed: ") + StatusCodeName(code));
+    first_failure = false;
+  }
+  return n;
 }
 
-void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
-  WireReader r(payload);
-  uint8_t op_byte = 0;
-  uint64_t id = 0;
-  r.GetU8(&op_byte);
-  r.GetU64(&id);
+void TcpServer::ServeFrame(Connection* conn, const RequestFrame& frame) {
+  const uint8_t op_byte = frame.op;
+  const uint64_t id = frame.id;
   metrics_.frames_by_op[ValidOpcode(op_byte) ? op_byte : 0].Increment();
-
-  if (!ValidOpcode(op_byte)) {
-    WriteError(&conn->out, static_cast<Opcode>(op_byte), id,
-               StatusCode::kInvalidArgument,
-               "unknown opcode " + std::to_string(op_byte));
-    return;
-  }
   const Opcode op = static_cast<Opcode>(op_byte);
   std::string* out = &conn->out;
-
   auto malformed = [&] {
-    WriteError(out, op, id, StatusCode::kInvalidArgument, "malformed request body");
+    EncodeError(out, op, id, StatusCode::kInvalidArgument, "malformed request body");
   };
 
   switch (op) {
-    case Opcode::kPing: {
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.EndFrame(frame);
-      return;
-    }
+    case Opcode::kPing:
+      if (!frame.body.empty()) return malformed();
+      return EncodeOk(out, op, id);
 
-    case Opcode::kGetMetrics: {
-      if (!r.AtEnd()) return malformed();
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.PutString(registry_->EncodeDump());
-      w.EndFrame(frame);
-      return;
-    }
+    case Opcode::kGetMetrics:
+      if (!frame.body.empty()) return malformed();
+      return EncodeMetrics(out, id, registry_->EncodeDump());
 
     case Opcode::kResolve: {
       std::string_view product;
-      if (!r.GetString(&product) || !r.AtEnd()) return malformed();
+      if (!DecodeResolve(frame.body, &product)) return malformed();
       ProductHandle handle;
       Status s = broker_->Resolve(product, &handle);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.PutU32(handle.index);
-      w.PutU32(handle.generation);
-      w.EndFrame(frame);
-      return;
-    }
-
-    case Opcode::kPostPrice: {
-      std::vector<double> scratch;
-      PriceFrame pf;
-      if (!DecodePriceBody(&r, &scratch, &pf)) return malformed();
-      Quote quote;
-      Status s = broker_->PostPrice(
-          pf.handle, std::span<const double>(scratch.data(), pf.features_len),
-          pf.reserve, &quote);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WriteQuote(out, id, quote);
-      return;
-    }
-
-    case Opcode::kObserve: {
-      ObserveFrame of;
-      if (!DecodeObserveBody(&r, &of)) return malformed();
-      Status s = broker_->Observe(of.feedback.ticket, of.feedback.accepted);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.EndFrame(frame);
-      return;
+      if (!s.ok()) return EncodeError(out, op, id, s.code(), s.message());
+      return EncodeResolved(out, id, handle);
     }
 
     case Opcode::kEstimateValue: {
       ProductHandle handle;
-      uint32_t n;
-      if (!r.GetU32(&handle.index) || !r.GetU32(&handle.generation) ||
-          !r.GetU32(&n) || r.remaining() != size_t{n} * 8) {
-        return malformed();
-      }
-      std::vector<double> features(n);
-      for (uint32_t i = 0; i < n; ++i) r.GetF64(&features[i]);
+      prices_.clear();  // only its features buffer is borrowed
+      if (!DecodeEstimateValue(frame.body, &handle, &prices_.features)) return malformed();
       ValueInterval interval;
-      Status s = broker_->EstimateValue(handle, features, &interval);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.PutF64(interval.lower);
-      w.PutF64(interval.upper);
-      w.EndFrame(frame);
-      return;
+      Status s = broker_->EstimateValue(handle, prices_.features, &interval);
+      if (!s.ok()) return EncodeError(out, op, id, s.code(), s.message());
+      return EncodeInterval(out, id, interval);
     }
 
-    case Opcode::kPostPrices: {
-      // Batch responses always carry: message string, u32 count, then per
-      // item (u64 ticket, f64 price, u8 flags, u8 status). A body decode
-      // failure answers with count 0.
-      uint32_t count;
-      std::vector<double> scratch;
-      std::vector<PriceFrame> items;
-      bool ok = r.GetU32(&count);
-      if (ok) {
-        items.reserve(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          PriceFrame pf;
-          uint32_t n;
-          if (!r.GetU32(&pf.handle.index) || !r.GetU32(&pf.handle.generation) ||
-              !r.GetF64(&pf.reserve) || !r.GetU32(&n) ||
-              r.remaining() < size_t{n} * 8) {
-            ok = false;
-            break;
-          }
-          pf.features_at = scratch.size();
-          pf.features_len = n;
-          for (uint32_t j = 0; j < n; ++j) {
-            double v;
-            r.GetF64(&v);
-            scratch.push_back(v);
-          }
-          items.push_back(pf);
-        }
-        if (ok && !r.AtEnd()) ok = false;
+    case Opcode::kPostPrices:
+      prices_.clear();
+      if (!DecodePostPrices(frame.body, &prices_)) {
+        return EncodePostPricesResult(out, id, Status::InvalidArgument("malformed batch body"),
+                                      {});
       }
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      if (!ok) {
-        w.PutResponseHeader(op, id, StatusCode::kInvalidArgument);
-        w.PutString("malformed batch body");
-        w.PutU32(0);
-        w.EndFrame(frame);
-        return;
-      }
-      std::vector<HandleRequest> requests(items.size());
-      std::vector<Quote> quotes(items.size());
-      for (size_t i = 0; i < items.size(); ++i) {
-        requests[i].handle = items[i].handle;
-        requests[i].reserve = items[i].reserve;
-        requests[i].features = std::span<const double>(
-            scratch.data() + items[i].features_at, items[i].features_len);
-      }
-      Status s = broker_->PostPrices(requests, quotes);
-      w.PutResponseHeader(op, id, s.code());
-      w.PutString(s.message());
-      w.PutU32(static_cast<uint32_t>(quotes.size()));
-      for (const Quote& q : quotes) {
-        w.PutU64(q.ticket);
-        w.PutF64(q.price);
-        w.PutU8(QuoteFlags(q));
-        w.PutU8(StatusCodeToWire(q.status));
-      }
-      w.EndFrame(frame);
-      return;
-    }
+      quotes_.assign(prices_.requests.size(), broker::Quote{});
+      return EncodePostPricesResult(out, id, broker_->PostPrices(prices_.requests, quotes_),
+                                    quotes_);
 
-    case Opcode::kObserves: {
-      // Batch responses: message string, u32 count, then per item u8 status.
-      uint32_t count;
-      std::vector<FeedbackRequest> feedback;
-      bool ok = r.GetU32(&count) && r.remaining() == size_t{count} * 9;
-      if (ok) {
-        feedback.resize(count);
-        for (uint32_t i = 0; i < count; ++i) {
-          uint8_t accepted = 0;
-          r.GetU64(&feedback[i].ticket);
-          r.GetU8(&accepted);
-          feedback[i].accepted = accepted != 0;
-        }
+    case Opcode::kObserves:
+      feedback_.clear();
+      if (!DecodeObserves(frame.body, &feedback_)) {
+        return EncodeObservesResult(out, id, Status::InvalidArgument("malformed batch body"),
+                                    {});
       }
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      if (!ok) {
-        w.PutResponseHeader(op, id, StatusCode::kInvalidArgument);
-        w.PutString("malformed batch body");
-        w.PutU32(0);
-        w.EndFrame(frame);
-        return;
-      }
-      std::vector<StatusCode> codes(feedback.size());
-      Status s = broker_->Observes(feedback, codes);
-      w.PutResponseHeader(op, id, s.code());
-      w.PutString(s.message());
-      w.PutU32(static_cast<uint32_t>(codes.size()));
-      for (StatusCode code : codes) w.PutU8(StatusCodeToWire(code));
-      w.EndFrame(frame);
-      return;
-    }
+      codes_.assign(feedback_.size(), StatusCode::kOk);
+      return EncodeObservesResult(out, id, broker_->Observes(feedback_, codes_), codes_);
+
+    default:  // ServeRun answers kPostPrice and kObserve
+      return EncodeError(out, op, id, StatusCode::kInvalidArgument,
+                         "unknown opcode " + std::to_string(op_byte));
   }
 }
 

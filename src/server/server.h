@@ -27,12 +27,13 @@
 /// the server's job is purely to move frames, and a single loop keeps the
 /// serving path allocation-light and trivially TSan-clean.
 ///
-/// Pipelining is rewarded: when a connection's read buffer holds a *run* of
-/// consecutive `kPostPrice` (or `kObserve`) frames, the loop coalesces the
-/// run into one `Broker::PostPrices` (`Observes`) call — one session-lock
-/// acquisition per run instead of one per request — then emits the per-frame
-/// responses individually. A client that pipelines N requests gets batch-path
-/// throughput without ever speaking the batch opcodes.
+/// Pipelining is rewarded: every `kPostPrice` (or `kObserve`) frame is served
+/// as part of the *run* of consecutive such frames buffered with it, through
+/// one `Broker::PostPrices` (`Observes`) call — one session-lock acquisition
+/// per run instead of one per request — and the per-frame responses are
+/// emitted individually. A lone frame is a run of one. A client that
+/// pipelines N requests gets batch-path throughput without ever speaking the
+/// batch opcodes.
 ///
 /// Shutdown drains gracefully: `Stop()` stops accepting, serves every frame
 /// already buffered, flushes pending responses, and closes connections —
@@ -151,12 +152,13 @@ class TcpServer {
   /// Answers a buffered HTTP scrape request once its header is complete;
   /// the response is followed by close (HTTP/1.0, no keep-alive).
   void ServeScrape(Connection* conn);
-  /// Decodes and answers one frame into `conn`'s write buffer.
-  void ServeFrame(Connection* conn, std::string_view payload);
-  /// Coalesces a run of identical single-op frames starting at `frames[at]`;
-  /// returns the number of frames consumed (>= 1).
-  size_t ServeRun(Connection* conn, const std::vector<std::string_view>& frames,
-                  size_t at);
+  /// Answers one frame of any opcode but kPostPrice and kObserve into
+  /// `conn`'s write buffer.
+  void ServeFrame(Connection* conn, const RequestFrame& frame);
+  /// Serves `frames_[at]` (header `first`): a kPostPrice (kObserve) frame
+  /// as the run of such frames starting there, through one batched broker
+  /// call; any other frame alone. Returns the frames consumed (>= 1).
+  size_t ServeRun(Connection* conn, const RequestFrame& first, size_t at);
   /// Nonblocking flush of `conn`'s write buffer; false on fatal write error.
   bool FlushWrites(Connection* conn);
 
@@ -174,6 +176,16 @@ class TcpServer {
   std::atomic<bool> stop_{false};
 
   std::vector<std::unique_ptr<Connection>> connections_;
+
+  /// Serving scratch, owned by the loop thread and reused across wakeups
+  /// and runs (grown on first use): one wakeup's frame payloads, and one
+  /// run's or batch's request ids, decoded requests and broker results.
+  std::vector<std::string_view> frames_;
+  std::vector<uint64_t> run_ids_;
+  PriceRequests prices_;
+  std::vector<broker::Quote> quotes_;
+  std::vector<broker::FeedbackRequest> feedback_;
+  std::vector<StatusCode> codes_;
 
   /// Instrument handles, resolved once in the constructor (DESIGN.md §13).
   /// `frames_by_op[op]` covers opcodes 1..kGetMetrics; index 0 counts

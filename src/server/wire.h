@@ -3,10 +3,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "broker/broker.h"
 #include "common/status.h"
+#include "metrics/metrics.h"
 
 /// \file
 /// The `pdm.wire.v1` framed binary protocol (DESIGN.md §10).
@@ -25,10 +29,12 @@
 /// to the quote the broker produced, which is what makes the loopback replay
 /// test's bit-identity pin possible (tests/server_test.cc).
 ///
-/// This header holds the shared low-level codec (bounds-checked reader,
-/// appending writer, frame splitting); the server and client assemble the
-/// actual op payloads from these primitives so there is exactly one encoding
-/// of each primitive on both sides.
+/// This header is the whole codec: the primitives (bounds-checked reader,
+/// appending writer, frame splitting) and, built on them, exactly one
+/// encoder and one decoder per message body — the price request item, the
+/// feedback item, the quote, the batch count prefix and every op's request
+/// and response. The server and the client only call these; neither spells
+/// out a byte layout of its own.
 
 namespace pdm::server {
 
@@ -188,6 +194,98 @@ inline constexpr size_t kCompactThreshold = size_t{64} << 10;
 /// is drained or the prefix passes kCompactThreshold, resetting *offset.
 /// Erasing on every frame would make deep pipelines O(n²) in buffered bytes.
 void CompactConsumed(std::string* buffer, size_t* offset);
+
+// --------------------------------------------------------------- requests
+//
+// Encoders append one whole request frame to `out`. Decoders take the body
+// (the payload after the header) and accept it only when it is consumed
+// exactly; a decoder that returns false leaves its outputs as they were.
+
+/// Ping and GetMetrics: a header with an empty body.
+void EncodeRequest(std::string* out, Opcode op, uint64_t id);
+void EncodeResolve(std::string* out, uint64_t id, std::string_view product);
+void EncodePostPrice(std::string* out, uint64_t id, const broker::HandleRequest& request);
+void EncodeObserve(std::string* out, uint64_t id, const broker::FeedbackRequest& feedback);
+void EncodeEstimateValue(std::string* out, uint64_t id, broker::ProductHandle handle,
+                         std::span<const double> features);
+void EncodePostPrices(std::string* out, uint64_t id,
+                      std::span<const broker::HandleRequest> requests);
+void EncodeObserves(std::string* out, uint64_t id,
+                    std::span<const broker::FeedbackRequest> feedback);
+
+/// A request payload split at its header. `op` is the raw byte, which may
+/// name no opcode (`ValidOpcode`).
+struct RequestFrame {
+  uint8_t op = 0;
+  uint64_t id = 0;
+  std::string_view body;
+};
+
+/// False when `payload` is shorter than the 9-byte request header.
+bool DecodeRequestHeader(std::string_view payload, RequestFrame* out);
+
+/// Price requests decoded from one or more frames. Payload doubles are
+/// unaligned, so each item's features are copied into `features`, back to
+/// back; `requests[i].features` views that buffer and is re-pointed when it
+/// grows. Reusable across decodes without freeing.
+struct PriceRequests {
+  std::vector<broker::HandleRequest> requests;
+  std::vector<double> features;
+  void clear() {
+    requests.clear();
+    features.clear();
+  }
+};
+
+bool DecodeResolve(std::string_view body, std::string_view* product);
+/// Appends one request; a batch appends all of its items. A batch count
+/// above what the body could hold is rejected before anything is allocated.
+bool DecodePostPrice(std::string_view body, PriceRequests* out);
+bool DecodePostPrices(std::string_view body, PriceRequests* out);
+bool DecodeObserve(std::string_view body, std::vector<broker::FeedbackRequest>* out);
+bool DecodeObserves(std::string_view body, std::vector<broker::FeedbackRequest>* out);
+/// Replaces `*features` with the request's features.
+bool DecodeEstimateValue(std::string_view body, broker::ProductHandle* handle,
+                         std::vector<double>* features);
+
+// -------------------------------------------------------------- responses
+
+/// An error answer: header + message. Opcode 0 with id 0 is the
+/// connection-level error frame (framing violation, idle reap).
+void EncodeError(std::string* out, Opcode op, uint64_t id, StatusCode code,
+                 std::string_view message);
+/// Ping and Observe: an OK header with an empty body.
+void EncodeOk(std::string* out, Opcode op, uint64_t id);
+void EncodeResolved(std::string* out, uint64_t id, broker::ProductHandle handle);
+void EncodeQuote(std::string* out, uint64_t id, const broker::Quote& quote);
+void EncodeInterval(std::string* out, uint64_t id, const ValueInterval& interval);
+void EncodeMetrics(std::string* out, uint64_t id, std::string_view dump);
+/// Batch results carry the batch Status, a count and per-item results
+/// whatever the status; a body that did not decode answers with count 0.
+void EncodePostPricesResult(std::string* out, uint64_t id, const Status& status,
+                            std::span<const broker::Quote> quotes);
+void EncodeObservesResult(std::string* out, uint64_t id, const Status& status,
+                          std::span<const StatusCode> codes);
+
+/// One decoded response frame (union-style: the fields that matter depend
+/// on `op`; `status` is always meaningful).
+struct Response {
+  Opcode op = Opcode::kPing;
+  uint64_t id = 0;
+  Status status;
+  broker::Quote quote;                 ///< kPostPrice
+  broker::ProductHandle handle;        ///< kResolve
+  ValueInterval interval;              ///< kEstimateValue
+  std::vector<broker::Quote> quotes;   ///< kPostPrices
+  std::vector<StatusCode> codes;       ///< kObserves
+  metrics::MetricsDump metrics;        ///< kGetMetrics
+};
+
+/// Decodes one response payload. `out->status` carries the op's outcome;
+/// the returned Status is FailedPrecondition for a truncated or malformed
+/// payload, and the frame's own status ("server error frame: ...") for a
+/// connection-level error frame (opcode 0).
+Status DecodeResponse(std::string_view payload, Response* out);
 
 }  // namespace pdm::server
 

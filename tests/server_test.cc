@@ -7,11 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <string>
@@ -526,6 +529,393 @@ TEST(TcpServer, FramingViolationsDropTheConnection) {
     EXPECT_EQ(n, 0);
   }
   EXPECT_EQ(server.stats().protocol_errors, errors_before + 2);
+  server.Stop();
+}
+
+// A raw wire connection, for frames `Client` never sends. Reads time out
+// after 5 s, so a frame the server never answers fails the test instead of
+// hanging it.
+class RawConnection {
+ public:
+  explicit RawConnection(uint16_t port) {
+    PDM_CHECK(ConnectTcp("127.0.0.1", port, &fd_).ok());
+    timeval timeout{5, 0};
+    PDM_CHECK(::setsockopt(fd_.get(), SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout) == 0);
+  }
+
+  bool Send(std::string_view bytes) {
+    return ::send(fd_.get(), bytes.data(), bytes.size(), MSG_NOSIGNAL) ==
+           static_cast<ssize_t>(bytes.size());
+  }
+
+  /// The next response frame's payload; false on EOF, error or timeout.
+  bool Read(std::string* payload) {
+    for (;;) {
+      std::string_view view;
+      size_t next = 0;
+      if (NextFrame(in_, 0, &view, &next) == FrameResult::kFrame) {
+        payload->assign(view);
+        in_.erase(0, next);
+        return true;
+      }
+      char chunk[4096];
+      ssize_t n = ::recv(fd_.get(), chunk, sizeof chunk, 0);
+      if (n <= 0) return false;
+      in_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  /// Reads and decodes the next response frame.
+  Response ReadResponse() {
+    std::string payload;
+    Response resp;
+    EXPECT_TRUE(Read(&payload));
+    EXPECT_TRUE(DecodeResponse(payload, &resp).ok());
+    return resp;
+  }
+
+ private:
+  UniqueFd fd_;
+  std::string in_;
+};
+
+/// `payload` behind its u32 length prefix.
+std::string Framed(std::string_view payload) {
+  std::string frame;
+  WireWriter w(&frame);
+  w.PutU32(static_cast<uint32_t>(payload.size()));
+  frame.append(payload);
+  return frame;
+}
+
+/// The payload of the one frame an encoder appended to `frame`.
+std::string Payload(const std::string& frame) { return frame.substr(kFrameHeaderBytes); }
+
+std::string PingFrame(uint64_t id) {
+  std::string frame;
+  EncodeRequest(&frame, Opcode::kPing, id);
+  return frame;
+}
+
+/// One golden request payload per request opcode, built by the encoders.
+std::vector<std::pair<Opcode, std::string>> GoldenRequests(ProductHandle handle) {
+  static const double kFeatures[] = {0.25, -0.5};
+  const HandleRequest price{handle, kFeatures, 0.125};
+  const HandleRequest prices[] = {price, price};
+  const FeedbackRequest feedback[] = {{1, true}, {2, false}};
+  std::vector<std::pair<Opcode, std::string>> golden;
+  auto add = [&](Opcode op, auto&& encode) {
+    std::string frame;
+    encode(&frame, 1000 + golden.size());
+    golden.emplace_back(op, Payload(frame));
+  };
+  add(Opcode::kResolve, [](std::string* f, uint64_t id) { EncodeResolve(f, id, "wire/golden"); });
+  add(Opcode::kPostPrice, [&](std::string* f, uint64_t id) { EncodePostPrice(f, id, price); });
+  add(Opcode::kObserve, [&](std::string* f, uint64_t id) { EncodeObserve(f, id, feedback[0]); });
+  add(Opcode::kEstimateValue,
+      [&](std::string* f, uint64_t id) { EncodeEstimateValue(f, id, handle, kFeatures); });
+  add(Opcode::kPostPrices, [&](std::string* f, uint64_t id) { EncodePostPrices(f, id, prices); });
+  add(Opcode::kObserves, [&](std::string* f, uint64_t id) { EncodeObserves(f, id, feedback); });
+  add(Opcode::kPing, [](std::string* f, uint64_t id) { EncodeRequest(f, Opcode::kPing, id); });
+  add(Opcode::kGetMetrics,
+      [](std::string* f, uint64_t id) { EncodeRequest(f, Opcode::kGetMetrics, id); });
+  return golden;
+}
+
+// A batch count the body cannot hold is refused before anything is
+// allocated: one 17-byte frame claiming 2^32 - 1 price items gets a
+// per-frame InvalidArgument, and the connection keeps serving.
+TEST(TcpServer, HostileBatchCountIsRejectedBeforeAllocation) {
+  Broker broker;
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn(server.port());
+
+  std::string payload;
+  WireWriter w(&payload);
+  w.PutRequestHeader(Opcode::kPostPrices, 1);
+  w.PutU32(0xFFFFFFFFu);
+  const std::string frame = Framed(payload);
+  ASSERT_EQ(frame.size(), 17u);
+  ASSERT_TRUE(conn.Send(frame + PingFrame(2)));
+
+  Response resp = conn.ReadResponse();
+  EXPECT_EQ(resp.op, Opcode::kPostPrices);
+  EXPECT_EQ(resp.id, 1u);
+  EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(resp.status.message(), "malformed batch body");
+  EXPECT_TRUE(resp.quotes.empty());
+  resp = conn.ReadResponse();
+  EXPECT_EQ(resp.op, Opcode::kPing);
+  EXPECT_EQ(resp.id, 2u);
+  EXPECT_TRUE(resp.status.ok());
+
+  // The client's decoder bounds a response's count the same way.
+  std::string result;
+  EncodePostPricesResult(&result, 3, Status::Ok(), {});
+  std::string hostile = Payload(result);
+  const uint32_t count = 0xFFFFFFFFu;
+  std::memcpy(hostile.data() + hostile.size() - sizeof count, &count, sizeof count);
+  EXPECT_EQ(DecodeResponse(hostile, &resp).code(), StatusCode::kFailedPrecondition);
+  server.Stop();
+}
+
+// Every request opcode, its body cut by one byte or grown by one: each such
+// frame gets its own InvalidArgument answer and the connection survives.
+TEST(TcpServer, MalformedBodiesGetPerFrameErrors) {
+  Broker broker;
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn(server.port());
+
+  uint64_t ping_id = 1;
+  int cases = 0;
+  for (const auto& [op, golden] : GoldenRequests(ProductHandle{0, 1})) {
+    std::vector<std::pair<const char*, std::string>> variants = {{"trailing byte", golden + 'x'}};
+    if (golden.size() > 9) variants.emplace_back("truncated", golden.substr(0, golden.size() - 1));
+    for (const auto& [what, payload] : variants) {
+      SCOPED_TRACE(std::to_string(static_cast<int>(op)) + " " + what);
+      ++cases;
+      ASSERT_TRUE(conn.Send(Framed(payload) + PingFrame(ping_id)));
+      const bool batch = op == Opcode::kPostPrices || op == Opcode::kObserves;
+      RequestFrame sent;
+      ASSERT_TRUE(DecodeRequestHeader(payload, &sent));
+      Response resp = conn.ReadResponse();
+      EXPECT_EQ(resp.op, op);
+      EXPECT_EQ(resp.id, sent.id);
+      EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(resp.status.message(), batch ? "malformed batch body" : "malformed request body");
+      EXPECT_TRUE(resp.quotes.empty() && resp.codes.empty());
+      resp = conn.ReadResponse();
+      EXPECT_EQ(resp.op, Opcode::kPing);
+      EXPECT_EQ(resp.id, ping_id++);
+      EXPECT_TRUE(resp.status.ok());
+    }
+  }
+  EXPECT_EQ(cases, 14);  // 8 trailing bytes + 6 non-empty bodies truncated
+  EXPECT_EQ(server.stats().protocol_errors, 0);
+  server.Stop();
+}
+
+// A pipelined run of five PostPrice frames whose third body is cut short:
+// the third gets InvalidArgument, the run splits around it, and the other
+// four are served exactly as sequential scalar calls on a twin broker.
+TEST(TcpServer, MalformedFrameSplitsAPipelinedRun) {
+  ScenarioSpec spec = LinearSpec("wire/split", 6, 4000, "reserve", 46);
+  StreamFactory factory_a, factory_b;
+  Broker broker_a, broker_b;
+  OpenSpec(&broker_a, &factory_a, spec);
+  OpenSpec(&broker_b, &factory_b, spec);
+  ProductHandle handle_a, handle_b;
+  ASSERT_TRUE(broker_a.Resolve(spec.name, &handle_a).ok());
+  ASSERT_TRUE(broker_b.Resolve(spec.name, &handle_b).ok());
+  TcpServer server(&broker_a);
+  ASSERT_TRUE(server.Start().ok());
+  RawConnection conn(server.port());
+
+  constexpr int kFrames = 5;
+  constexpr int kBroken = 2;
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory_a.CreateStream(spec, &rng);
+  std::vector<MarketRound> rounds(kFrames);
+  std::string bytes;
+  for (int k = 0; k < kFrames; ++k) {
+    stream->Next(&rng, &rounds[k]);
+    std::string frame;
+    EncodePostPrice(&frame, 10 + k, {handle_a, rounds[k].features, rounds[k].reserve});
+    if (k == kBroken) frame = Framed(Payload(frame).substr(0, frame.size() - 5));
+    bytes += frame;
+  }
+  ASSERT_TRUE(conn.Send(bytes));  // one send: the server sees the whole run
+  for (int k = 0; k < kFrames; ++k) {
+    SCOPED_TRACE(k);
+    Response resp = conn.ReadResponse();
+    EXPECT_EQ(resp.op, Opcode::kPostPrice);
+    EXPECT_EQ(resp.id, 10u + k);
+    if (k == kBroken) {
+      EXPECT_EQ(resp.status.code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(resp.status.message(), "malformed request body");
+      continue;
+    }
+    ASSERT_TRUE(resp.status.ok());
+    Quote seq;
+    ASSERT_TRUE(broker_b.PostPrice(handle_b, rounds[k].features, rounds[k].reserve, &seq).ok());
+    EXPECT_EQ(resp.quote.ticket, seq.ticket);
+    EXPECT_EQ(std::bit_cast<uint64_t>(resp.quote.price), std::bit_cast<uint64_t>(seq.price));
+    EXPECT_EQ(resp.quote.exploratory, seq.exploratory);
+    EXPECT_EQ(resp.quote.certain_no_sale, seq.certain_no_sale);
+  }
+  server.Stop();
+  EXPECT_EQ(SnapshotBytes(broker_a, spec.name), SnapshotBytes(broker_b, spec.name));
+}
+
+// ------------------------------------------------------------ wire fuzzer
+
+/// Calls `visit` with each mutation of `payload` the fuzzer tries: every
+/// single-bit flip, every truncation, every 4-byte window (so every u32
+/// count and length field) set to 0, 1, 2^31 and 2^32 - 1, and then
+/// `stacked` seeded stacks of two to four such mutations.
+template <typename Visit>
+void ForEachMutation(const std::string& payload, Rng* rng, int stacked, Visit&& visit) {
+  static constexpr uint32_t kCounts[] = {0, 1, 0x80000000u, 0xFFFFFFFFu};
+  auto set_u32 = [](std::string* m, size_t at, uint32_t v) {
+    std::memcpy(m->data() + at, &v, sizeof v);
+  };
+  for (size_t bit = 0; bit < payload.size() * 8; ++bit) {
+    std::string m = payload;
+    m[bit / 8] = static_cast<char>(m[bit / 8] ^ (1 << (bit % 8)));
+    visit(m);
+  }
+  for (size_t size = 0; size < payload.size(); ++size) visit(payload.substr(0, size));
+  for (size_t at = 0; at + 4 <= payload.size(); ++at) {
+    for (uint32_t count : kCounts) {
+      std::string m = payload;
+      set_u32(&m, at, count);
+      visit(m);
+    }
+  }
+  for (int i = 0; i < stacked; ++i) {
+    std::string m = payload;
+    const uint64_t depth = 2 + rng->NextUint64(3);
+    for (uint64_t d = 0; d < depth && !m.empty(); ++d) {
+      const uint64_t kind = rng->NextUint64(3);
+      if (kind == 0) {
+        const size_t at = rng->NextUint64(m.size());
+        m[at] = static_cast<char>(m[at] ^ (1 << rng->NextUint64(8)));
+      } else if (kind == 1) {
+        m.resize(rng->NextUint64(m.size()));
+      } else if (m.size() >= 4) {
+        set_u32(&m, rng->NextUint64(m.size() - 3), kCounts[rng->NextUint64(4)]);
+      }
+    }
+    visit(m);
+  }
+}
+
+// Deterministic mutation fuzzing of the wire codec (ROADMAP item 4, wire
+// target). Each mutated request payload goes through every request decoder
+// in process and, followed by a Ping, through a live server, which must
+// answer both or close after a connection-level error frame. Each mutated
+// response payload goes through the client's decoder. The sanitizer builds
+// run this with their checks armed.
+TEST(WireFuzz, MutatedFramesNeverCrashDecodersOrServer) {
+  constexpr int kStacked = 48;
+  StreamFactory factory;
+  Broker broker;
+  ScenarioSpec spec = LinearSpec("wire/fuzz", 2, 2000, "reserve", 91);
+  OpenSpec(&broker, &factory, spec);
+  ProductHandle handle;
+  ASSERT_TRUE(broker.Resolve(spec.name, &handle).ok());
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  auto conn = std::make_unique<RawConnection>(server.port());
+  Rng rng(0x5EED);
+
+  PriceRequests prices;
+  std::vector<FeedbackRequest> feedback;
+  std::vector<double> features;
+  uint64_t ping_id = uint64_t{1} << 40;
+  int64_t answered = 0;
+  int64_t closed = 0;
+  auto exchange = [&](const std::string& frame) {
+    std::string payload;
+    Response resp;
+    ASSERT_TRUE(conn->Send(frame + PingFrame(ping_id)));
+    ASSERT_TRUE(conn->Read(&payload));
+    const Status first = DecodeResponse(payload, &resp);
+    const bool connection_error = resp.op == static_cast<Opcode>(0);
+    ASSERT_TRUE(first.ok() || connection_error) << first.ToString();
+    if (!conn->Read(&payload)) {
+      // Closed: only ever after a connection-level error frame.
+      ASSERT_TRUE(connection_error);
+      ++closed;
+      conn = std::make_unique<RawConnection>(server.port());
+      return;
+    }
+    ASSERT_TRUE(DecodeResponse(payload, &resp).ok());
+    EXPECT_EQ(resp.op, Opcode::kPing);
+    EXPECT_EQ(resp.id, ping_id++);
+    ++answered;
+  };
+  auto decode_request = [&](const std::string& payload) {
+    RequestFrame header;
+    if (!DecodeRequestHeader(payload, &header)) return;
+    std::string_view product;
+    ProductHandle decoded;
+    prices.clear();
+    feedback.clear();
+    (void)DecodeResolve(header.body, &product);
+    (void)DecodePostPrice(header.body, &prices);
+    (void)DecodePostPrices(header.body, &prices);
+    (void)DecodeObserve(header.body, &feedback);
+    (void)DecodeObserves(header.body, &feedback);
+    (void)DecodeEstimateValue(header.body, &decoded, &features);
+    // Decoded price requests view their features back to back.
+    size_t offset = 0;
+    for (const HandleRequest& request : prices.requests) {
+      ASSERT_EQ(request.features.data(), prices.features.data() + offset);
+      offset += request.features.size();
+    }
+    ASSERT_EQ(offset, prices.features.size());
+  };
+
+  int64_t requests = 0;
+  for (const auto& [op, golden] : GoldenRequests(handle)) {
+    SCOPED_TRACE(static_cast<int>(op));
+    ForEachMutation(golden, &rng, kStacked, [&](const std::string& payload) {
+      ++requests;
+      decode_request(payload);
+      exchange(Framed(payload));
+    });
+    // The frame length prefix itself: each value is a framing violation.
+    for (uint32_t length : {0u, 1u, 0x80000000u, 0xFFFFFFFFu}) {
+      std::string frame = Framed(golden);
+      std::memcpy(frame.data(), &length, sizeof length);
+      ++requests;
+      exchange(frame);
+    }
+  }
+
+  // One golden response per response opcode, plus error frames.
+  metrics::MetricRegistry registry;
+  registry.GetCounter("pdm_fuzz_total", "Fuzzer test counter.").Add(3);
+  const Quote quote{7, 1.5, true, false, StatusCode::kOk};
+  const Quote quotes[] = {quote, {0, 0.0, false, false, StatusCode::kNotFound}};
+  const StatusCode codes[] = {StatusCode::kOk, StatusCode::kNotFound};
+  std::vector<std::string> responses(11);
+  EncodeResolved(&responses[0], 1, handle);
+  EncodeQuote(&responses[1], 2, quote);
+  EncodeOk(&responses[2], Opcode::kObserve, 3);
+  EncodeInterval(&responses[3], 4, ValueInterval{0.5, 2.5});
+  EncodePostPricesResult(&responses[4], 5, Status::NotFound("stale handle"), quotes);
+  EncodeObservesResult(&responses[5], 6, Status::NotFound("unknown ticket"), codes);
+  EncodeOk(&responses[6], Opcode::kPing, 7);
+  EncodeMetrics(&responses[7], 8, registry.EncodeDump());
+  EncodeError(&responses[8], Opcode::kPostPrice, 9, StatusCode::kNotFound, "stale handle");
+  EncodeError(&responses[9], static_cast<Opcode>(0), 0, StatusCode::kInvalidArgument,
+              "framing violation: oversized frame length");
+  EncodePostPricesResult(&responses[10], 10, Status::InvalidArgument("malformed batch body"),
+                         {});
+  int64_t decoded_responses = 0;
+  for (const std::string& frame : responses) {
+    Response golden;
+    const std::string payload = Payload(frame);
+    EXPECT_TRUE(DecodeResponse(payload, &golden).ok() || golden.op == static_cast<Opcode>(0));
+    ForEachMutation(payload, &rng, kStacked, [&](const std::string& mutated) {
+      Response resp;
+      (void)DecodeResponse(mutated, &resp);
+      ++decoded_responses;
+    });
+  }
+
+  // The server answered throughout, and still does on a fresh connection.
+  EXPECT_GT(answered, 0);
+  EXPECT_GT(closed, 0);
+  EXPECT_EQ(answered + closed, requests);
+  EXPECT_GT(decoded_responses, 0);
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  EXPECT_TRUE(client.Ping().ok());
   server.Stop();
 }
 
